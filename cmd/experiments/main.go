@@ -135,57 +135,13 @@ func main() {
 		return
 	}
 
-	tables := []int{}
-	if *all || *table == 0 {
-		tables = []int{1, 2, 3, 4, 5, 6}
-	} else {
+	tables := experiments.AllTables
+	if !*all && *table != 0 {
 		tables = []int{*table}
 	}
-
-	for _, n := range tables {
-		start := time.Now()
-		switch n {
-		case 1:
-			rows, err := s.Table1()
-			exitOn(err)
-			experiments.RenderTable1(rows, os.Stdout)
-			ext, err := s.Table1Ext()
-			exitOn(err)
-			experiments.RenderTable1Ext(ext, os.Stdout)
-		case 2:
-			rows, err := s.Table2()
-			exitOn(err)
-			experiments.RenderTable2(rows, os.Stdout)
-		case 3:
-			var rows []experiments.Table3Row
-			var err error
-			if *shards > 1 {
-				rows, err = s.Table3Sharded(*shards)
-			} else {
-				rows, err = s.Table3()
-			}
-			exitOn(err)
-			experiments.RenderTable3(rows, os.Stdout)
-		case 4:
-			rows, err := s.Table4()
-			exitOn(err)
-			experiments.RenderTable4(rows, os.Stdout)
-			mult, err := s.Multiplicity()
-			exitOn(err)
-			experiments.RenderMultiplicity(mult, os.Stdout)
-		case 5:
-			rows, err := s.Table5()
-			exitOn(err)
-			experiments.RenderTable5(rows, os.Stdout)
-		case 6:
-			rows, err := s.Spectrum(2000)
-			exitOn(err)
-			experiments.RenderSpectrum(rows, os.Stdout)
-		default:
-			log.Fatalf("no such table %d (want 1-6)", n)
-		}
-		fmt.Fprintf(os.Stderr, "[table %d: %.1fs]\n", n, time.Since(start).Seconds())
-	}
+	exitOn(s.WriteTables(os.Stdout, tables, *shards, func(n int, d time.Duration) {
+		fmt.Fprintf(os.Stderr, "[table %d: %.1fs]\n", n, d.Seconds())
+	}))
 
 	if *verbose {
 		printTimings(s)

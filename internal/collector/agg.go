@@ -9,25 +9,31 @@ import (
 	"pathprof/internal/wire"
 )
 
-// This file holds the shard-resident aggregate forms. Instead of keeping
-// one merged profile.Profile / cct.Export per program and rebuilding it on
-// every push (clone + Merge, or MergeExports building a whole new tree),
-// each shard folds pushes in place into flat scratch aggregates:
+// This file holds the shard-resident aggregate forms: the collector's
+// in-place fold, one of the two merge implementations per profile type.
+// The other is the reference merge (profile.(*Profile).Merge and
+// cct.MergeExports/MergeAllExports), which builds a fresh result and is
+// what queries use to combine per-shard snapshots.
+//
+// Every push reaches the fold as a decoded batch item: frames directly,
+// single envelopes after conversion through the batch codec
+// (Collector.ingestEnvelope). Each shard folds items in place into flat
+// scratch aggregates:
 //
 //   - profAgg keys path entries by sum through a flat.Table, so folding a
-//     decoded batch item is hash-probe + add per path, no allocation once
-//     the path set is stable;
-//   - cctAgg mirrors cct.MergeExports node for node, but mutates the
-//     existing tree (metrics +=, PathCounts.Add, slot-state fold) instead
-//     of building a new one, allocating only when a push grafts records
-//     the aggregate has not seen.
+//     batch item is hash-probe + add per path, no allocation once the path
+//     set is stable;
+//   - cctAgg follows cct.MergeExports node for node, but mutates the
+//     existing tree (metrics +=, PathCounts.Add, cct.FoldSlotStats)
+//     instead of building a new one, allocating only when a push grafts
+//     records the aggregate has not seen.
 //
 // Queries snapshot an aggregate under the shard lock into a fresh
 // profile.Profile / cct.Export, so readers never share mutable state with
-// the fold path. The fold rules replicate profile.(*Profile).Merge and
-// cct.MergeExports exactly — the correctness oracle is byte-identity of
-// the rendered tables against Table3Sharded/Table5 at any batch size and
-// shard count (see TestBatchIngestMatchesSingles and the relay e2e).
+// the fold path. The fold rules match the reference merge exactly — the
+// correctness oracle is byte-identity of the rendered tables against
+// Table3Sharded/Table5 at any batch size and shard count (see
+// TestBatchIngestMatchesSingles and the relay e2e).
 
 // --- profile aggregates ---
 
@@ -37,7 +43,7 @@ type procAgg struct {
 	procID   int
 	name     string
 	numPaths int64
-	k        int // effective iteration degree; 0 in classic profiles
+	k        int         // effective iteration degree; 0 in classic profiles
 	index    *flat.Table // path sum -> row
 	sums     []int64
 	freqs    []uint64
@@ -63,42 +69,6 @@ func aggK(k int) int {
 		return 0
 	}
 	return k
-}
-
-// newProfAgg adopts a freshly decoded profile as the aggregate seed.
-func newProfAgg(p *profile.Profile) *profAgg {
-	a := &profAgg{
-		program: p.Program,
-		mode:    p.Mode,
-		events:  append([]string(nil), p.Events...),
-		k:       aggK(p.K),
-	}
-	a.schema = profile.SchemaKeyFor(a.k, a.events)
-	w := len(a.events)
-	a.procs = make([]*procAgg, len(p.Procs))
-	for i, pp := range p.Procs {
-		pa := &procAgg{
-			procID:   pp.ProcID,
-			name:     pp.Name,
-			numPaths: pp.NumPaths,
-			k:        pp.K,
-			index:    flat.New(len(pp.Entries)),
-			sums:     make([]int64, 0, len(pp.Entries)),
-			freqs:    make([]uint64, 0, len(pp.Entries)),
-			metrics:  make([]uint64, 0, len(pp.Entries)*w),
-		}
-		for j := range pp.Entries {
-			e := &pp.Entries[j]
-			pa.index.Set(e.Sum, int64(len(pa.sums)))
-			pa.sums = append(pa.sums, e.Sum)
-			pa.freqs = append(pa.freqs, e.Freq)
-			for k := 0; k < w; k++ {
-				pa.metrics = append(pa.metrics, e.Metric(k))
-			}
-		}
-		a.procs[i] = pa
-	}
-	return a
 }
 
 // newProfAggBatch seeds an aggregate from a decoded batch item.
@@ -135,22 +105,27 @@ func newProfAggBatch(bp *wire.BatchProfile) *profAgg {
 	return a
 }
 
-// checkShape validates mode, schema and procedure layout before any
-// mutation, reproducing the exact rejection messages of the old
-// clone-and-merge path (a rejected push must leave the aggregate
-// untouched, which for an in-place fold means validating up front).
-func (a *profAgg) checkShape(mode, schema string, numProcs int, procID func(int) int) error {
-	if a.mode != mode {
-		return &conflictError{fmt.Errorf("profile mode %q conflicts with aggregated mode %q", mode, a.mode)}
+// checkShape validates bp's mode, schema and procedure layout against the
+// aggregate before any mutation (a rejected push must leave the aggregate
+// untouched, which for an in-place fold means validating up front). It
+// rebuilds the item's identity as strings, so it runs only on the error
+// path of foldBatch and when a shard seeds a new aggregate.
+func (a *profAgg) checkShape(bp *wire.BatchProfile) error {
+	if a.mode != string(bp.Mode) {
+		return &conflictError{fmt.Errorf("profile mode %q conflicts with aggregated mode %q", bp.Mode, a.mode)}
 	}
-	if a.schema != schema {
+	events := make([]string, len(bp.Events))
+	for i, ev := range bp.Events {
+		events[i] = string(ev)
+	}
+	if schema := profile.SchemaKeyFor(aggK(bp.K), events); a.schema != schema {
 		return &conflictError{fmt.Errorf("profile metric schema %q conflicts with aggregated schema %q", schema, a.schema)}
 	}
-	if len(a.procs) != numProcs {
-		return &conflictError{fmt.Errorf("profile: merge shape mismatch: %d vs %d procs", len(a.procs), numProcs)}
+	if len(a.procs) != len(bp.Procs) {
+		return &conflictError{fmt.Errorf("profile: merge shape mismatch: %d vs %d procs", len(a.procs), len(bp.Procs))}
 	}
 	for i, pa := range a.procs {
-		if pa.procID != procID(i) {
+		if pa.procID != bp.Procs[i].ProcID {
 			return &conflictError{fmt.Errorf("profile: merge proc mismatch at %d", i)}
 		}
 	}
@@ -174,56 +149,31 @@ func (pa *procAgg) foldRow(sum int64, freq uint64, metrics []uint64) {
 	pa.metrics = append(pa.metrics, metrics...)
 }
 
-// fold merges a materialized profile into the aggregate (the v1/v2
-// single-envelope path).
-func (a *profAgg) fold(p *profile.Profile) error {
-	err := a.checkShape(p.Mode, p.SchemaKey(), len(p.Procs), func(i int) int { return p.Procs[i].ProcID })
-	if err != nil {
-		return err
-	}
-	w := len(a.events)
-	var row []uint64
-	if w > 0 {
-		row = make([]uint64, w)
-	}
-	for i, pp := range p.Procs {
-		pa := a.procs[i]
-		for j := range pp.Entries {
-			e := &pp.Entries[j]
-			for k := 0; k < w; k++ {
-				row[k] = e.Metric(k)
-			}
-			pa.foldRow(e.Sum, e.Freq, row)
-		}
-	}
-	return nil
-}
-
 // foldBatch merges a decoded batch item in place. Steady state (stable
 // path set per program) performs no allocation: the shape check compares
 // frame bytes against aggregate strings directly, and every row lands in
 // an existing slot.
 func (a *profAgg) foldBatch(bp *wire.BatchProfile) error {
 	if a.mode != string(bp.Mode) { // comparison does not allocate
-		return a.checkShapeBatch(bp)
+		return a.checkShape(bp)
 	}
 	if a.k != aggK(bp.K) {
-		return a.checkShapeBatch(bp)
+		return a.checkShape(bp)
 	}
 	if len(a.events) != len(bp.Events) {
-		return a.checkShapeBatch(bp)
+		return a.checkShape(bp)
 	}
 	for i, ev := range bp.Events {
 		if a.events[i] != string(ev) {
-			return a.checkShapeBatch(bp)
+			return a.checkShape(bp)
 		}
 	}
 	if len(a.procs) != len(bp.Procs) {
-		return a.checkShapeBatch(bp)
+		return a.checkShape(bp)
 	}
 	for i := range bp.Procs {
 		if a.procs[i].procID != bp.Procs[i].ProcID {
-			return a.checkShapeBatch(bp)
+			return a.checkShape(bp)
 		}
 	}
 	w := len(a.events)
@@ -236,17 +186,6 @@ func (a *profAgg) foldBatch(bp *wire.BatchProfile) error {
 		}
 	}
 	return nil
-}
-
-// checkShapeBatch rebuilds the failing batch item's identity as strings
-// (error paths may allocate) and returns the precise conflict.
-func (a *profAgg) checkShapeBatch(bp *wire.BatchProfile) error {
-	events := make([]string, len(bp.Events))
-	for i, ev := range bp.Events {
-		events[i] = string(ev)
-	}
-	return a.checkShape(string(bp.Mode), profile.SchemaKeyFor(aggK(bp.K), events), len(bp.Procs),
-		func(i int) int { return bp.Procs[i].ProcID })
 }
 
 // snapshot materializes the aggregate as a fresh profile. Entries are
@@ -321,8 +260,9 @@ func (sc *foldScratch) ancestorsFor(numProcs int) ancestors {
 	return sc.anc
 }
 
-// newCCTAgg seeds an aggregate from a decoded batch item by grafting the
-// whole tree.
+// newCCTAgg seeds an aggregate from a decoded batch item by folding it
+// into an empty tree, which grafts every record. The seed keeps the
+// item's own heap footprint, so the grafted byte count is not added.
 func newCCTAgg(bc *wire.BatchCCT, sc *foldScratch) (*cctAgg, error) {
 	a := &cctAgg{
 		program:          string(bc.Program),
@@ -332,16 +272,11 @@ func newCCTAgg(bc *wire.BatchCCT, sc *foldScratch) (*cctAgg, error) {
 		hasStructure:     bc.HasStructure,
 		sizeBytes:        bc.SizeBytes,
 		listElems:        bc.ListElems,
+		root:             &aggNode{proc: -1, pc: flat.New(0)},
 	}
-	a.root = &aggNode{proc: -1, pc: flat.New(0)}
-	anc := sc.ancestorsFor(a.numProcs)
 	var grafted uint64
-	for _, cid := range bc.Children(0) {
-		ch, err := a.graft(bc, cid, anc, &grafted)
-		if err != nil {
-			return nil, err
-		}
-		a.root.children = append(a.root.children, ch)
+	if err := a.foldNode(a.root, bc, 0, sc.ancestorsFor(a.numProcs), &grafted); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
@@ -401,9 +336,8 @@ func (a *cctAgg) graft(bc *wire.BatchCCT, id int32, anc ancestors, grafted *uint
 // sharded-collection steady state) allocate nothing: metrics and path
 // counts fold into existing storage and no records are grafted.
 func (a *cctAgg) foldBatch(bc *wire.BatchCCT, sc *foldScratch) error {
-	if a.numProcs != bc.NumProcs || a.distinguishSites != bc.DistinguishSites {
-		return &conflictError{fmt.Errorf("cct: merge shape mismatch: %d/%v procs vs %d/%v",
-			a.numProcs, a.distinguishSites, bc.NumProcs, bc.DistinguishSites)}
+	if err := a.checkShape(bc); err != nil {
+		return err
 	}
 	if a.program == "" {
 		a.program = string(bc.Program)
@@ -415,6 +349,16 @@ func (a *cctAgg) foldBatch(bc *wire.BatchCCT, sc *foldScratch) error {
 		return err
 	}
 	a.sizeBytes += grafted
+	return nil
+}
+
+// checkShape validates bc's procedure count and call-site option against
+// the aggregate, with cct.MergeExports' rejection message.
+func (a *cctAgg) checkShape(bc *wire.BatchCCT) error {
+	if a.numProcs != bc.NumProcs || a.distinguishSites != bc.DistinguishSites {
+		return &conflictError{fmt.Errorf("cct: merge shape mismatch: %d/%v procs vs %d/%v",
+			a.numProcs, a.distinguishSites, bc.NumProcs, bc.DistinguishSites)}
+	}
 	return nil
 }
 
@@ -434,7 +378,7 @@ func (a *cctAgg) foldNode(x *aggNode, bc *wire.BatchCCT, yID int32, anc ancestor
 			x.pc.Add(bc.PCSums[bn.PCOff+k], bc.PCCounts[bn.PCOff+k])
 		}
 		// x.size stays (merge keeps x's record size).
-		x.slots = foldSlots(x.slots, bc.Slots[bn.SlotOff:bn.SlotOff+bn.SlotN])
+		x.slots = cct.FoldSlotStats(x.slots, bc.Slots[bn.SlotOff:bn.SlotOff+bn.SlotN])
 	}
 
 	// Install self before backedge resolution and child folds.
@@ -550,36 +494,6 @@ func (a *cctAgg) foldNode(x *aggNode, bc *wire.BatchCCT, yID int32, anc ancestor
 		}
 	}
 	return nil
-}
-
-// foldSlots folds y's per-site states into x's in place, with the same
-// one-path rules as cct.mergeSlotStats: a site stays "one path" only if
-// both sides saw the same single prefix.
-func foldSlots(xs []cct.SlotStat, ys []cct.SlotStat) []cct.SlotStat {
-	for len(xs) < len(ys) {
-		xs = append(xs, cct.SlotStat{})
-	}
-	for i := range ys {
-		s := &xs[i]
-		s.Used = s.Used || ys[i].Used
-		switch ys[i].PathState {
-		case 1:
-			switch s.PathState {
-			case 0:
-				s.PathState = 1
-				s.PathPrefix = ys[i].PathPrefix
-			case 1:
-				if s.PathPrefix != ys[i].PathPrefix {
-					s.PathState = 2
-					s.PathPrefix = 0
-				}
-			}
-		case 2:
-			s.PathState = 2
-			s.PathPrefix = 0
-		}
-	}
-	return xs
 }
 
 // snapshot materializes the aggregate as a fresh export with preorder

@@ -11,12 +11,16 @@
 // instead of a convoy of timed-out sockets. Each admitted request is
 // decoded under a request timeout and a body size cap, then folded into
 // one of Config.Shards shard aggregates chosen round-robin (batched
-// frames fold item by item, spreading one frame across shards). Shards
-// hold fold-in-place aggregates (see agg.go) that queries snapshot under
-// the shard lock, so readers never share mutable state with the ingest
-// path. Because merging is associative and commutative over these
-// aggregates, the fully merged result is independent of how requests
-// were spread across shards.
+// frames fold item by item, spreading one frame across shards; single
+// envelopes are converted to a one-item frame first). Shards hold
+// fold-in-place aggregates (see agg.go) that queries snapshot under the
+// shard lock, so readers never share mutable state with the ingest path.
+// Each program's shape (mode, schema, procedure layout) is recorded for
+// the whole collector when a shard first seeds an aggregate for it, so a
+// conflicting push is rejected with 409 whichever shard it lands on.
+// For pushes of one shape, merging is associative and commutative over
+// these aggregates, so the fully merged result is independent of how
+// requests were spread across shards.
 //
 // Shutdown sets a draining flag (new ingests get 503) and waits for
 // in-flight merges, so no accepted profile is lost.
@@ -97,6 +101,51 @@ func newShard() *shard {
 	}
 }
 
+// shapes records, per program, the shape every shard's aggregate must
+// share: the first profile and CCT aggregate any shard created since the
+// last Take. Mode, schema and procedure layout of an aggregate never
+// change after creation, so a shard seeding a new aggregate checks the
+// push against the recorded one (load-or-store, under the shard lock).
+// A push that conflicts with data held on another shard is thus rejected
+// exactly as on a single shard, while the steady-state fold only ever
+// checks its own shard's aggregate.
+type shapes struct {
+	mu    sync.Mutex
+	profs map[string]*profAgg
+	ccts  map[string]*cctAgg
+}
+
+// reset forgets every recorded shape.
+func (s *shapes) reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.profs = make(map[string]*profAgg)
+	s.ccts = make(map[string]*cctAgg)
+}
+
+// claimProfile records a, just seeded from bp, as its program's profile
+// shape, or checks bp against the shape already recorded.
+func (s *shapes) claimProfile(a *profAgg, bp *wire.BatchProfile) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec, ok := s.profs[a.program]; ok {
+		return rec.checkShape(bp)
+	}
+	s.profs[a.program] = a
+	return nil
+}
+
+// claimCCT is claimProfile for CCT aggregates.
+func (s *shapes) claimCCT(a *cctAgg, bc *wire.BatchCCT) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec, ok := s.ccts[a.program]; ok {
+		return rec.checkShape(bc)
+	}
+	s.ccts[a.program] = a
+	return nil
+}
+
 // Metrics is a point-in-time snapshot of the collector's counters.
 // Store is present only when a durability tier is mounted (see
 // durable.go): it carries the per-stage append/fsync/replay/compaction
@@ -140,6 +189,7 @@ type Collector struct {
 	sem     chan struct{}
 	next    atomic.Uint64 // round-robin shard cursor
 	shards  []*shard
+	shapes  shapes
 	scratch sync.Pool // of *foldScratch
 
 	// store, when mounted (durable.go), makes every ingest durable
@@ -151,20 +201,20 @@ type Collector struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	ingestedProfiles atomic.Uint64
-	ingestedCCTs     atomic.Uint64
-	ingestedFrames   atomic.Uint64
-	ingestedBytes    atomic.Uint64
-	rejectedBusy     atomic.Uint64
-	rejectedQueue    atomic.Uint64
-	rejectedTooBig   atomic.Uint64
-	rejectedTimeout  atomic.Uint64
+	ingestedProfiles  atomic.Uint64
+	ingestedCCTs      atomic.Uint64
+	ingestedFrames    atomic.Uint64
+	ingestedBytes     atomic.Uint64
+	rejectedBusy      atomic.Uint64
+	rejectedQueue     atomic.Uint64
+	rejectedTooBig    atomic.Uint64
+	rejectedTimeout   atomic.Uint64
 	rejectedBad       atomic.Uint64
 	rejectedConflict  atomic.Uint64
 	rejectedStoreFull atomic.Uint64
 	rejectedDraining  atomic.Uint64
-	inflightCount    atomic.Int64
-	queueDepth       atomic.Int64
+	inflightCount     atomic.Int64
+	queueDepth        atomic.Int64
 }
 
 // New creates a collector with cfg (zero fields defaulted).
@@ -179,6 +229,7 @@ func New(cfg Config) *Collector {
 	for i := range c.shards {
 		c.shards[i] = newShard()
 	}
+	c.shapes.reset()
 	return c
 }
 
@@ -263,43 +314,28 @@ func (e *conflictError) Unwrap() error { return e.err }
 func (c *Collector) getScratch() *foldScratch   { return c.scratch.Get().(*foldScratch) }
 func (c *Collector) putScratch(sc *foldScratch) { c.scratch.Put(sc) }
 
-// ingestProfile folds p into a round-robin shard (the v1/v2
-// single-envelope path).
-func (c *Collector) ingestProfile(p *profile.Profile) error {
-	sh := c.pick()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	a, ok := sh.profiles[p.Program]
-	if !ok {
-		sh.profiles[p.Program] = newProfAgg(p)
-		c.ingestedProfiles.Add(1)
-		return nil
-	}
-	if err := a.fold(p); err != nil {
-		return err
-	}
-	c.ingestedProfiles.Add(1)
-	return nil
-}
-
-// ingestExport folds ex into a round-robin shard. The export is
-// converted through the batch codec so the single-envelope path and the
-// frame path share one fold implementation.
-func (c *Collector) ingestExport(ex *cct.Export) error {
+// ingestEnvelope folds one single envelope, p or ex (whichever is
+// non-nil). The envelope is converted through the batch codec, so single
+// envelopes and frames share one fold path.
+func (c *Collector) ingestEnvelope(p *profile.Profile, ex *cct.Export) error {
 	sc := c.getScratch()
 	defer c.putScratch(sc)
 	sc.bw.Reset()
-	if err := sc.bw.AddExport(ex); err != nil {
+	var err error
+	if p != nil {
+		err = sc.bw.AddProfile(p)
+	} else {
+		err = sc.bw.AddExport(ex)
+	}
+	if err != nil {
 		return err
 	}
 	sc.buf = sc.bw.AppendFrame(sc.buf[:0])
 	if err := sc.frame.Reset(sc.buf); err != nil {
 		return err
 	}
-	if err := sc.frame.DecodeCCT(0, &sc.bc); err != nil {
-		return err
-	}
-	return c.ingestBatchCCT(&sc.bc, sc)
+	_, _, err = c.foldFrame(sc)
+	return err
 }
 
 // ingestBatchProfile folds one decoded batch profile item into a shard.
@@ -310,6 +346,9 @@ func (c *Collector) ingestBatchProfile(bp *wire.BatchProfile, _ *foldScratch) er
 	a, ok := sh.profiles[string(bp.Program)] // string(…) key lookup does not allocate
 	if !ok {
 		a = newProfAggBatch(bp)
+		if err := c.shapes.claimProfile(a, bp); err != nil {
+			return err
+		}
 		sh.profiles[a.program] = a
 		c.ingestedProfiles.Add(1)
 		return nil
@@ -330,6 +369,9 @@ func (c *Collector) ingestBatchCCT(bc *wire.BatchCCT, sc *foldScratch) error {
 	if !ok {
 		agg, err := newCCTAgg(bc, sc)
 		if err != nil {
+			return err
+		}
+		if err := c.shapes.claimCCT(agg, bc); err != nil {
 			return err
 		}
 		sh.exports[agg.program] = agg
@@ -354,6 +396,16 @@ func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 	if err := sc.frame.Reset(data); err != nil {
 		return 0, 0, err
 	}
+	profiles, ccts, err = c.foldFrame(sc)
+	if err == nil {
+		c.ingestedFrames.Add(1)
+	}
+	return profiles, ccts, err
+}
+
+// foldFrame folds every item of the frame loaded into sc.frame, in frame
+// order, stopping at the first error.
+func (c *Collector) foldFrame(sc *foldScratch) (profiles, ccts int, err error) {
 	n := sc.frame.Items()
 	for i := 0; i < n; i++ {
 		switch sc.frame.Kind(i) {
@@ -381,7 +433,6 @@ func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 			ccts++
 		}
 	}
-	c.ingestedFrames.Add(1)
 	return profiles, ccts, nil
 }
 
@@ -433,9 +484,8 @@ func mergeExportParts(parts []*cct.Export) (*cct.Export, bool) {
 	for _, p := range parts[1:] {
 		merged, err := cct.MergeExports(out, p)
 		if err != nil {
-			// Shards only hold exports that merged cleanly with each
-			// other's stream; cross-shard mismatch means the producers
-			// pushed inconsistent trees. Surface the first shard's view.
+			// Unreachable: every shard's aggregate was checked against
+			// the program's collector-wide shape when it was seeded.
 			return out, true
 		}
 		out = merged
@@ -477,20 +527,31 @@ func mergeProfileParts(parts []*profile.Profile) (*profile.Profile, bool) {
 // (see relay.go): a leaf collector periodically Takes its aggregate and
 // pushes it upstream as one batch.
 func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
-	profParts := map[string][]*profile.Profile{}
-	exportParts := map[string][]*cct.Export{}
+	// Swap out every shard's aggregates and forget the recorded shapes in
+	// one step, with all shard locks held, so the shape record always
+	// describes exactly the aggregates the collector holds.
+	taken := make([]*shard, len(c.shards))
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		pm, em := sh.profiles, sh.exports
+	}
+	for i, sh := range c.shards {
+		taken[i] = &shard{profiles: sh.profiles, exports: sh.exports}
 		sh.profiles = make(map[string]*profAgg)
 		sh.exports = make(map[string]*cctAgg)
+	}
+	c.shapes.reset()
+	for _, sh := range c.shards {
 		sh.mu.Unlock()
-		// The swapped-out aggregates are exclusively owned now; snapshot
-		// them outside the shard lock.
-		for name, a := range pm {
+	}
+	// The swapped-out aggregates are exclusively owned now; snapshot them
+	// outside the shard locks.
+	profParts := map[string][]*profile.Profile{}
+	exportParts := map[string][]*cct.Export{}
+	for _, sh := range taken {
+		for name, a := range sh.profiles {
 			profParts[name] = append(profParts[name], a.snapshot())
 		}
-		for name, a := range em {
+		for name, a := range sh.exports {
 			exportParts[name] = append(exportParts[name], a.snapshot())
 		}
 	}
@@ -509,30 +570,4 @@ func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
 	sort.Slice(profiles, func(i, j int) bool { return profiles[i].Program < profiles[j].Program })
 	sort.Slice(exports, func(i, j int) bool { return exports[i].Program < exports[j].Program })
 	return profiles, exports
-}
-
-// cloneProfile deep-copies p so merges never mutate published
-// aggregates out from under concurrent readers.
-func cloneProfile(p *profile.Profile) *profile.Profile {
-	q := &profile.Profile{Program: p.Program, Mode: p.Mode, K: p.K}
-	if len(p.Events) > 0 {
-		q.Events = append([]string(nil), p.Events...)
-	}
-	q.Procs = make([]*profile.ProcPaths, len(p.Procs))
-	for i, pp := range p.Procs {
-		cp := &profile.ProcPaths{ProcID: pp.ProcID, Name: pp.Name, NumPaths: pp.NumPaths, K: pp.K}
-		cp.Entries = make([]profile.PathEntry, len(pp.Entries))
-		copy(cp.Entries, pp.Entries)
-		// Entries hold slices into the source arena; give the clone its
-		// own metric storage so later merges never write through shared
-		// backing arrays.
-		for j := range cp.Entries {
-			if src := pp.Entries[j].Metrics; len(src) > 0 {
-				cp.Entries[j].Metrics = cp.NewMetrics(len(src))
-				copy(cp.Entries[j].Metrics, src)
-			}
-		}
-		q.Procs[i] = cp
-	}
-	return q
 }

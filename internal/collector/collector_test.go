@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -52,6 +53,31 @@ func fixtures(t *testing.T) (*profile.Profile, *cct.Tree) {
 		t.Fatal("fixture build failed")
 	}
 	return fixtureProf, fixtureTree
+}
+
+// cloneProfile deep-copies p, so a test can alter the copy without
+// touching the shared fixture.
+func cloneProfile(p *profile.Profile) *profile.Profile {
+	q := &profile.Profile{Program: p.Program, Mode: p.Mode, K: p.K}
+	if len(p.Events) > 0 {
+		q.Events = append([]string(nil), p.Events...)
+	}
+	q.Procs = make([]*profile.ProcPaths, len(p.Procs))
+	for i, pp := range p.Procs {
+		cp := &profile.ProcPaths{ProcID: pp.ProcID, Name: pp.Name, NumPaths: pp.NumPaths, K: pp.K}
+		cp.Entries = make([]profile.PathEntry, len(pp.Entries))
+		copy(cp.Entries, pp.Entries)
+		// Entries hold slices into the source arena; give the clone its
+		// own metric storage.
+		for j := range cp.Entries {
+			if src := pp.Entries[j].Metrics; len(src) > 0 {
+				cp.Entries[j].Metrics = cp.NewMetrics(len(src))
+				copy(cp.Entries[j].Metrics, src)
+			}
+		}
+		q.Procs[i] = cp
+	}
+	return q
 }
 
 func newServer(t *testing.T, cfg Config) (*Collector, *Client) {
@@ -162,43 +188,100 @@ func TestBadPayloadRejected(t *testing.T) {
 	}
 }
 
+// conflictShards are the shard counts every conflict test runs at: one
+// shard, where the conflicting push meets the aggregate it contradicts,
+// and four, where it lands on a shard that holds no aggregate for the
+// program yet and only the collector-wide shape record can catch it.
+var conflictShards = []int{1, 4}
+
+// aggregateBytes encodes program's merged aggregates, so a test can check
+// that a rejected push left them untouched.
+func aggregateBytes(t *testing.T, c *Collector, program string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if p, ok := c.MergedProfile(program); ok {
+		if err := wire.Encode(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ex, ok := c.MergedExport(program); ok {
+		if err := wire.Encode(&buf, ex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// requireConflict runs push, which must be rejected with 409 and leave
+// program's aggregates unchanged. Above one shard the push must land on a
+// shard that holds no aggregate for program, so the check exercised is
+// the collector-wide one.
+func requireConflict(t *testing.T, c *Collector, program string, push func() error) {
+	t.Helper()
+	if len(c.shards) > 1 {
+		sh := c.shards[(c.next.Load()+1)%uint64(len(c.shards))]
+		sh.mu.Lock()
+		_, hasProf := sh.profiles[program]
+		_, hasCCT := sh.exports[program]
+		sh.mu.Unlock()
+		if hasProf || hasCCT {
+			t.Fatalf("conflicting push would land on a shard already holding %s", program)
+		}
+	}
+	before := aggregateBytes(t, c, program)
+	if err := push(); statusOf(t, err) != http.StatusConflict {
+		t.Fatalf("want 409, got %v", err)
+	}
+	if !bytes.Equal(aggregateBytes(t, c, program), before) {
+		t.Fatalf("rejected push changed the %s aggregate", program)
+	}
+}
+
 func TestModeConflictRejected(t *testing.T) {
 	prof, _ := fixtures(t)
-	_, cl := newServer(t, Config{Shards: 1})
-	ctx := context.Background()
-	if _, err := cl.PushProfile(ctx, prof); err != nil {
-		t.Fatal(err)
-	}
-	other := cloneProfile(prof)
-	other.Mode = "context+hw"
-	_, err := cl.PushProfile(ctx, other)
-	if statusOf(t, err) != http.StatusConflict {
-		t.Fatalf("want 409, got %v", err)
+	for _, shards := range conflictShards {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, cl := newServer(t, Config{Shards: shards})
+			ctx := context.Background()
+			if _, err := cl.PushProfile(ctx, prof); err != nil {
+				t.Fatal(err)
+			}
+			other := cloneProfile(prof)
+			other.Mode = "context+hw"
+			requireConflict(t, c, prof.Program, func() error {
+				_, err := cl.PushProfile(ctx, other)
+				return err
+			})
+		})
 	}
 }
 
 func TestSchemaConflictRejected(t *testing.T) {
 	prof, _ := fixtures(t)
-	c, cl := newServer(t, Config{Shards: 1})
-	ctx := context.Background()
-	if _, err := cl.PushProfile(ctx, prof); err != nil {
-		t.Fatal(err)
-	}
-	// Same program, same mode, same shape — but the pusher counted
-	// different events, so slot-wise summing would be meaningless.
-	other := cloneProfile(prof)
-	other.Events = []string{"cycles", "branches"}
-	_, err := cl.PushProfile(ctx, other)
-	if statusOf(t, err) != http.StatusConflict {
-		t.Fatalf("want 409, got %v", err)
-	}
-	if c.Metrics().RejectedConflict != 1 {
-		t.Fatalf("metrics: %+v", c.Metrics())
-	}
-	// The aggregate still answers with the original schema.
-	merged, ok := c.MergedProfile(prof.Program)
-	if !ok || merged.SchemaKey() != prof.SchemaKey() {
-		t.Fatalf("aggregate schema %q, want %q", merged.SchemaKey(), prof.SchemaKey())
+	for _, shards := range conflictShards {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, cl := newServer(t, Config{Shards: shards})
+			ctx := context.Background()
+			if _, err := cl.PushProfile(ctx, prof); err != nil {
+				t.Fatal(err)
+			}
+			// Same program, same mode, same shape — but the pusher counted
+			// different events, so slot-wise summing would be meaningless.
+			other := cloneProfile(prof)
+			other.Events = []string{"cycles", "branches"}
+			requireConflict(t, c, prof.Program, func() error {
+				_, err := cl.PushProfile(ctx, other)
+				return err
+			})
+			if c.Metrics().RejectedConflict != 1 {
+				t.Fatalf("metrics: %+v", c.Metrics())
+			}
+			// The aggregate still answers with the original schema.
+			merged, ok := c.MergedProfile(prof.Program)
+			if !ok || merged.SchemaKey() != prof.SchemaKey() {
+				t.Fatalf("aggregate schema %q, want %q", merged.SchemaKey(), prof.SchemaKey())
+			}
+		})
 	}
 }
 
@@ -255,16 +338,104 @@ func TestNamedMetricTable(t *testing.T) {
 
 func TestShapeConflictRejected(t *testing.T) {
 	_, tree := fixtures(t)
-	_, cl := newServer(t, Config{Shards: 1})
+	for _, shards := range conflictShards {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, cl := newServer(t, Config{Shards: shards})
+			ctx := context.Background()
+			if _, err := cl.PushExport(ctx, tree.Export("compress")); err != nil {
+				t.Fatal(err)
+			}
+			bad := tree.Export("compress")
+			bad.NumProcs++
+			requireConflict(t, c, "compress", func() error {
+				_, err := cl.PushExport(ctx, bad)
+				return err
+			})
+		})
+	}
+}
+
+// TestShapeRecordFollowsTake: Take hands off every aggregate and the
+// recorded shapes with them, so a program may change mode after a Take,
+// and the new mode is then enforced on every shard.
+func TestShapeRecordFollowsTake(t *testing.T) {
+	prof, _ := fixtures(t)
+	c, cl := newServer(t, Config{Shards: 4})
 	ctx := context.Background()
-	if _, err := cl.PushExport(ctx, tree.Export("compress")); err != nil {
+	if _, err := cl.PushProfile(ctx, prof); err != nil {
 		t.Fatal(err)
 	}
-	bad := tree.Export("compress")
-	bad.NumProcs++
-	_, err := cl.PushExport(ctx, bad)
-	if statusOf(t, err) != http.StatusConflict {
-		t.Fatalf("want 409, got %v", err)
+	if profiles, _ := c.Take(); len(profiles) != 1 {
+		t.Fatalf("Take returned %d profiles, want 1", len(profiles))
+	}
+	other := cloneProfile(prof)
+	other.Mode = "context+hw"
+	if _, err := cl.PushProfile(ctx, other); err != nil {
+		t.Fatalf("push after Take: %v", err)
+	}
+	requireConflict(t, c, prof.Program, func() error {
+		_, err := cl.PushProfile(ctx, prof)
+		return err
+	})
+	if merged, ok := c.MergedProfile(prof.Program); !ok || merged.Mode != other.Mode {
+		t.Fatalf("aggregate lost the post-Take mode")
+	}
+}
+
+// TestTakeDuringIngest: Take swaps out aggregates and shape records while
+// pushes keep landing on every shard. No same-shape push may be rejected,
+// and every push must appear in exactly one Take.
+func TestTakeDuringIngest(t *testing.T) {
+	prof, tree := fixtures(t)
+	c := New(Config{Shards: 4})
+	const pushers, perPusher = 4, 25
+	var wg sync.WaitGroup
+	for i := 0; i < pushers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perPusher; j++ {
+				if err := c.ingestEnvelope(prof, nil); err != nil {
+					t.Error(err)
+				}
+				if err := c.ingestEnvelope(nil, tree.Export("compress")); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	var freq uint64
+	var calls int64
+	take := func() {
+		profiles, exports := c.Take()
+		for _, p := range profiles {
+			f, _ := p.Totals()
+			freq += f
+		}
+		for _, ex := range exports {
+			calls += ex.TotalMetric(0)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			take()
+		}
+	}
+	take()
+	wantFreq, _ := prof.Totals()
+	if want := wantFreq * pushers * perPusher; freq != want {
+		t.Fatalf("taken path frequency %d, want %d", freq, want)
+	}
+	if want := tree.Export("compress").TotalMetric(0) * pushers * perPusher; calls != want {
+		t.Fatalf("taken CCT metric %d, want %d", calls, want)
 	}
 }
 

@@ -125,13 +125,7 @@ func (c *Collector) applyPayload(data []byte) (IngestResponse, error) {
 	if pl.Program() == "" {
 		return IngestResponse{}, errors.New("payload names no program")
 	}
-	switch pl.Kind {
-	case wire.KindProfile:
-		err = c.ingestProfile(pl.Profile)
-	case wire.KindCCT:
-		err = c.ingestExport(pl.Export)
-	}
-	if err != nil {
+	if err := c.ingestEnvelope(pl.Profile, pl.Export); err != nil {
 		return IngestResponse{}, err
 	}
 	return IngestResponse{Kind: pl.Kind.String(), Program: pl.Program()}, nil

@@ -2,7 +2,7 @@ package collector
 
 import (
 	"context"
-	"net/http"
+	"fmt"
 	"testing"
 
 	"pathprof/internal/wire"
@@ -12,8 +12,16 @@ import (
 // aggregate of the same program — the path id spaces are unrelated — and
 // the conflict surfaces as a 409 on both the envelope and the frame path.
 func TestKDegreeConflictRejected(t *testing.T) {
+	for _, shards := range conflictShards {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testKDegreeConflict(t, shards)
+		})
+	}
+}
+
+func testKDegreeConflict(t *testing.T, shards int) {
 	prof, _ := fixtures(t)
-	c, cl := newServer(t, Config{Shards: 1})
+	c, cl := newServer(t, Config{Shards: shards})
 	ctx := context.Background()
 	if _, err := cl.PushProfile(ctx, prof); err != nil {
 		t.Fatal(err)
@@ -23,17 +31,19 @@ func TestKDegreeConflictRejected(t *testing.T) {
 	for _, pp := range k2.Procs {
 		pp.K = 2
 	}
-	if _, err := cl.PushProfile(ctx, k2); statusOf(t, err) != http.StatusConflict {
-		t.Fatalf("envelope path: want 409, got %v", err)
-	}
+	requireConflict(t, c, prof.Program, func() error { // envelope path
+		_, err := cl.PushProfile(ctx, k2)
+		return err
+	})
 
 	bw := wire.NewBatchWriter()
 	if err := bw.AddProfile(k2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.PushFrame(ctx, bw.Frame()); statusOf(t, err) != http.StatusConflict {
-		t.Fatalf("frame path: want 409, got %v", err)
-	}
+	requireConflict(t, c, prof.Program, func() error { // frame path
+		_, err := cl.PushFrame(ctx, bw.Frame())
+		return err
+	})
 	if c.Metrics().RejectedConflict != 2 {
 		t.Fatalf("metrics: %+v", c.Metrics())
 	}
@@ -47,15 +57,17 @@ func TestKDegreeConflictRejected(t *testing.T) {
 	}
 	classic := cloneProfile(prof)
 	classic.Program = "kprog"
-	if _, err := cl.PushProfile(ctx, classic); statusOf(t, err) != http.StatusConflict {
-		t.Fatalf("classic into k-aggregate: want 409, got %v", err)
-	}
+	requireConflict(t, c, "kprog", func() error { // classic into k-aggregate
+		_, err := cl.PushProfile(ctx, classic)
+		return err
+	})
 	k9 := cloneProfile(k2)
 	k9.Program = "kprog"
 	k9.K = 3
-	if _, err := cl.PushProfile(ctx, k9); statusOf(t, err) != http.StatusConflict {
-		t.Fatalf("k=3 into k=2 aggregate: want 409, got %v", err)
-	}
+	requireConflict(t, c, "kprog", func() error { // k=3 into k=2 aggregate
+		_, err := cl.PushProfile(ctx, k9)
+		return err
+	})
 
 	// Same-degree pushes keep folding, and the snapshot keeps the degree.
 	if _, err := cl.PushProfile(ctx, cloneProfile(k3)); err != nil {

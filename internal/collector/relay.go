@@ -146,10 +146,10 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 				firstErr = err
 			}
 			for _, i := range pendingP {
-				r.Local.ingestProfile(profiles[i])
+				r.Local.ingestEnvelope(profiles[i], nil)
 			}
 			for _, i := range pendingX {
-				r.Local.ingestExport(exports[i])
+				r.Local.ingestEnvelope(nil, exports[i])
 			}
 		} else {
 			r.framesPushed.Add(1)

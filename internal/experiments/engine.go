@@ -241,21 +241,31 @@ func (s *Session) RunAll(ctx context.Context, specs []CellSpec) ([]*Cell, error)
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	n := s.workers()
-	if n > len(specs) {
-		n = len(specs)
-	}
 	cells := make([]*Cell, len(specs))
-	if n <= 1 {
-		// Serial fast path: no goroutines, identical cell order.
-		for i, sp := range specs {
-			c, err := s.RunSetCtx(ctx, sp.Workload, sp.Mode, sp.set())
-			if err != nil {
-				return nil, err
+	err := s.forEach(ctx, len(specs), func(ctx context.Context, i int) (err error) {
+		sp := specs[i]
+		cells[i], err = s.RunSetCtx(ctx, sp.Workload, sp.Mode, sp.set())
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cells, nil
+}
+
+// forEach runs fn(ctx, i) for every i in [0, n) on a bounded worker pool
+// (Parallel workers, default GOMAXPROCS; in index order without goroutines
+// when that is 1). On the first error the remaining work is cancelled and
+// that error returned.
+func (s *Session) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	workers := min(s.workers(), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
 			}
-			cells[i] = c
 		}
-		return cells, nil
+		return nil
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -266,7 +276,7 @@ func (s *Session) RunAll(ctx context.Context, specs []CellSpec) ([]*Cell, error)
 		first   error
 	)
 	jobs := make(chan int)
-	for w := 0; w < n; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -274,28 +284,21 @@ func (s *Session) RunAll(ctx context.Context, specs []CellSpec) ([]*Cell, error)
 				if ctx.Err() != nil {
 					continue // drain: cancelled
 				}
-				sp := specs[i]
-				c, err := s.RunSetCtx(ctx, sp.Workload, sp.Mode, sp.set())
-				if err != nil {
+				if err := fn(ctx, i); err != nil {
 					errOnce.Do(func() {
 						first = err
 						cancel()
 					})
-					continue
 				}
-				cells[i] = c
 			}
 		}()
 	}
-	for i := range specs {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	if first != nil {
-		return nil, first
-	}
-	return cells, nil
+	return first
 }
 
 // runSuite warms the cache for one (mode, events) cell per workload and

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"pathprof/internal/cct"
@@ -17,25 +16,28 @@ import (
 // program exit and merges trees from repeated runs offline. CollectSharded
 // models that workflow in-process — every shard is an independent
 // instrumented execution wired from the shared plan onto its own machine,
-// built concurrently on the session's worker pool, and the per-shard trees
-// are reduced by cct.MergeTrees (tree-structured pairwise merge).
+// built concurrently on the session's worker pool, and exported at exit the
+// way the runtime writes its heap. The per-shard exports are reduced by
+// cct.MergeAllExports (tree-structured pairwise MergeExports), the same
+// reference merge the collection tier's aggregates are checked against.
 //
-// Workloads are deterministic, so all shards build structurally identical
-// trees and the merged tree's shape statistics (everything Table 3 renders)
-// are byte-identical to a single serial run at any shard count; only the
-// accumulated counters scale with the number of shards. See EXPERIMENTS.md.
+// Workloads are deterministic, so all shards export structurally identical
+// trees and the merged export's shape statistics (everything Table 3
+// renders) are byte-identical to a single serial run at any shard count;
+// only the accumulated counters scale with the number of shards. See
+// EXPERIMENTS.md.
 
-// ShardedRun is the result of a sharded collection: the merged tree plus
+// ShardedRun is the result of a sharded collection: the merged export plus
 // the per-shard simulation results.
 type ShardedRun struct {
-	Tree    *cct.Tree
+	Export  *cct.Export
 	Results []sim.Result
 	Plan    *instrument.Plan
 }
 
 // CollectSharded executes `shards` instrumented runs of w under mode
-// (which must be a CCT-building mode) and merges the per-shard trees into
-// shard 0's tree.
+// (which must be a CCT-building mode), exports each shard's tree and
+// merges the exports.
 func (s *Session) CollectSharded(ctx context.Context, w workload.Workload, mode instrument.Mode, ev0, ev1 hpm.Event, shards int) (*ShardedRun, error) {
 	if !mode.UsesCCT() {
 		return nil, fmt.Errorf("experiments: sharded collection needs a CCT mode, got %v", mode)
@@ -49,59 +51,28 @@ func (s *Session) CollectSharded(ctx context.Context, w workload.Workload, mode 
 	}
 
 	start := time.Now()
-	trees := make([]*cct.Tree, shards)
+	exports := make([]*cct.Export, shards)
 	results := make([]sim.Result, shards)
-	errs := make([]error, shards)
-
-	n := s.workers()
-	if n > shards {
-		n = shards
-	}
-	runShard := func(i int) {
-		if ctx.Err() != nil {
-			errs[i] = ctx.Err()
-			return
+	err = s.forEach(ctx, shards, func(ctx context.Context, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		m := sim.New(plan.Prog, s.SimConfig)
 		m.PMU().Select(ev0, ev1)
 		rt := plan.Wire(m)
 		res, err := m.Run()
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s %v shard %d: %w", w.Name, mode, i, err)
-			return
+			return fmt.Errorf("experiments: %s %v shard %d: %w", w.Name, mode, i, err)
 		}
-		trees[i] = rt.Tree
+		exports[i] = rt.Tree.Export(w.Name)
 		results[i] = res
-	}
-	if n <= 1 {
-		for i := 0; i < shards; i++ {
-			runShard(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < n; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runShard(i)
-				}
-			}()
-		}
-		for i := 0; i < shards; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	merged, err := cct.MergeTrees(trees)
+	merged, err := cct.MergeAllExports(exports)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +87,7 @@ func (s *Session) CollectSharded(ctx context.Context, w workload.Workload, mode 
 		Wall:     time.Since(start),
 		Instrs:   instrs,
 	})
-	return &ShardedRun{Tree: merged, Results: results, Plan: plan}, nil
+	return &ShardedRun{Export: merged, Results: results, Plan: plan}, nil
 }
 
 // Table3Sharded builds Table 3 from sharded collection: every workload's
@@ -124,20 +95,16 @@ func (s *Session) CollectSharded(ctx context.Context, w workload.Workload, mode 
 // merged. The rendered rows are byte-identical to Table3's at any shard
 // count (shape statistics are invariant under merging identical runs).
 func (s *Session) Table3Sharded(shards int) ([]Table3Row, error) {
-	runs := make([]*ShardedRun, len(s.Workloads))
-	errs := make([]error, len(s.Workloads))
 	// Workloads run serially here; each one's shards already occupy the
 	// worker pool.
-	for i, w := range s.Workloads {
-		runs[i], errs[i] = s.CollectSharded(context.Background(),
+	rows := make([]Table3Row, 0, len(s.Workloads))
+	for _, w := range s.Workloads {
+		run, err := s.CollectSharded(context.Background(),
 			w, instrument.ModeContextFlow, StandardEvents[0], StandardEvents[1], shards)
-	}
-	var rows []Table3Row
-	for i, w := range s.Workloads {
-		if errs[i] != nil {
-			return nil, errs[i]
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, Table3Row{Name: w.Name, Stats: runs[i].Tree.ComputeStats()})
+		rows = append(rows, Table3Row{Name: w.Name, Stats: run.Export.Stats()})
 	}
 	return rows, nil
 }

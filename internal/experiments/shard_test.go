@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"pathprof/internal/cct"
 	"pathprof/internal/instrument"
 )
 
@@ -35,7 +34,7 @@ func TestShardedTable3Identical(t *testing.T) {
 	}
 }
 
-// TestShardedCountersScale: merging k identical shard trees leaves the
+// TestShardedCountersScale: merging k identical shard exports leaves the
 // structure untouched but multiplies the accumulated counters by k.
 func TestShardedCountersScale(t *testing.T) {
 	s := subsetSession(t)
@@ -47,13 +46,7 @@ func TestShardedCountersScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		var calls int64
-		run.Tree.Walk(func(n *cct.Node) {
-			if len(n.Metrics) > 0 {
-				calls += n.Metrics[0]
-			}
-		})
-		return calls, run.Tree.NumNodes()
+		return run.Export.TotalMetric(0), run.Export.NumNodes()
 	}
 
 	baseCalls, baseNodes := invocations(1)
