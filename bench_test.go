@@ -266,6 +266,9 @@ func BenchmarkTable5HotProcs(b *testing.B) {
 
 // --- simulation throughput per workload ---
 
+// BenchmarkSimulate times uninstrumented Test-scale runs of every workload
+// on the default machine; ns/sim-instr is host time per simulated
+// instruction.
 func BenchmarkSimulate(b *testing.B) {
 	for _, w := range workload.Suite() {
 		w := w
@@ -281,7 +284,10 @@ func BenchmarkSimulate(b *testing.B) {
 				}
 				instrs = res.Instrs
 			}
+			nsPerInstr := float64(b.Elapsed().Nanoseconds()) / float64(uint64(b.N)*instrs)
 			b.ReportMetric(float64(instrs), "sim-instrs")
+			b.ReportMetric(nsPerInstr, "ns/sim-instr")
+			recordBench(b, map[string]float64{"sim-instrs": float64(instrs), "ns/sim-instr": nsPerInstr})
 		})
 	}
 }
@@ -1013,6 +1019,24 @@ func buildStepLoop(class string) *ir.Program {
 	x.Halt()
 	bld.SetMain(main)
 	return bld.MustFinish()
+}
+
+// TestStepZeroAlloc: once warm, Machine.Step allocates nothing for any
+// instruction class (BenchmarkStepDispatch measures the same loops).
+func TestStepZeroAlloc(t *testing.T) {
+	for _, class := range []string{"alu", "fp", "mem", "branch", "call"} {
+		m := sim.New(buildStepLoop(class), sim.DefaultConfig())
+		allocs := testing.AllocsPerRun(20, func() {
+			for i := 0; i < 1000; i++ {
+				if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: 1000 steps allocated %.1f times, want 0", class, allocs)
+		}
+	}
 }
 
 // BenchmarkStepDispatch measures the simulator's per-instruction dispatch

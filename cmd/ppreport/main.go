@@ -49,8 +49,7 @@ func main() {
 	prof := load(*in)
 
 	if *mergeWith != "" {
-		other := load(*mergeWith)
-		if err := prof.Merge(other); err != nil {
+		if err := mergeFile(prof, *mergeWith); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("merged %s into %s\n", *mergeWith, *in)
@@ -209,16 +208,33 @@ func loadCCT(path string) *cct.Export {
 }
 
 func load(path string) *profile.Profile {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	p, err := profile.Read(f)
+	p, err := readProfile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	return p
+}
+
+func readProfile(path string) (*profile.Profile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return profile.Read(f)
+}
+
+// mergeFile merges the profile saved at path into prof (-merge); profiles
+// of different modes or metric schemas are rejected.
+func mergeFile(prof *profile.Profile, path string) error {
+	other, err := readProfile(path)
+	if err != nil {
+		return err
+	}
+	if err := prof.Merge(other); err != nil {
+		return fmt.Errorf("merging %s: %w", path, err)
+	}
+	return nil
 }
 
 func frac(a, b uint64) float64 {

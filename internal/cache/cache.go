@@ -59,8 +59,8 @@ func (s Stats) MissRatio() float64 {
 //
 // State is kept in flat arrays indexed by set*assoc+way rather than
 // per-set slices: the lookup is on the simulator's per-instruction path
-// (every fetch and every data access goes through Access), and the flat
-// layout removes a pointer chase and two bounds checks per probe.
+// (every fetch and every data access goes through Read or Write), and the
+// flat layout removes a pointer chase and two bounds checks per probe.
 type Cache struct {
 	cfg      Config
 	sets     int
@@ -68,19 +68,32 @@ type Cache struct {
 	lineBits uint
 	setMask  uint64
 	tagShift uint
-	// tags/valid/lru are indexed by set*assoc+way; lru holds a recency
-	// stamp (higher = newer).
+	// tags/lru are indexed by set*assoc+way; an invalid way holds the tag
+	// none, and lru holds a recency stamp (higher = newer).
 	tags  []uint64
-	valid []bool
 	lru   []uint64
 	clock uint64
 	stats Stats
+
+	// last is the line number (addr >> lineBits) of the most recent
+	// access, or none. That line is resident and the most recently used
+	// in its set, so a repeat access to it is a hit that changes no
+	// replacement decision: the fast paths in Read and Write count it and
+	// skip the set walk, the clock tick and the LRU stamp. Stamps are only
+	// compared within a set and the clock stays monotonic, so the stale
+	// stamp still orders the line after every other way in its set.
+	last uint64
 }
 
-// New builds a cache from cfg. It panics on a non-power-of-two geometry,
-// which is a configuration error.
+// none marks an invalid way in tags and "no access yet" in last. No line
+// number or tag reaches it because New requires lines of at least two
+// bytes.
+const none = ^uint64(0)
+
+// New builds a cache from cfg. It panics on a non-power-of-two geometry or
+// a line narrower than two bytes, which are configuration errors.
 func New(cfg Config) *Cache {
-	if cfg.Assoc <= 0 || cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 {
+	if cfg.Assoc <= 0 || cfg.LineBytes < 2 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid config %+v", cfg.Name, cfg))
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
@@ -101,8 +114,8 @@ func New(cfg Config) *Cache {
 		tagShift: uint(setBits(sets)),
 	}
 	c.tags = make([]uint64, sets*cfg.Assoc)
-	c.valid = make([]bool, sets*cfg.Assoc)
 	c.lru = make([]uint64, sets*cfg.Assoc)
+	c.Flush()
 	return c
 }
 
@@ -117,11 +130,12 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
+	for i := range c.tags {
+		c.tags[i] = none
 	}
 	c.stats = Stats{}
 	c.clock = 0
+	c.last = none
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
@@ -140,14 +154,42 @@ func setBits(sets int) int {
 // Access simulates one access; write=true for stores. It returns true on a
 // hit. Misses allocate the line (write-allocate for stores).
 func (c *Cache) Access(addr uint64, write bool) bool {
+	if write {
+		return c.Write(addr)
+	}
+	return c.Read(addr)
+}
+
+// Read simulates a load or an instruction fetch: Access(addr, false).
+func (c *Cache) Read(addr uint64) bool {
+	if addr>>c.lineBits == c.last {
+		c.stats.ReadHits++
+		return true
+	}
+	return c.lookup(addr, false)
+}
+
+// Write simulates a store: Access(addr, true).
+func (c *Cache) Write(addr uint64) bool {
+	if addr>>c.lineBits == c.last {
+		c.stats.WriteHits++
+		return true
+	}
+	return c.lookup(addr, true)
+}
+
+// lookup is the set walk behind Read and Write for an access to any line
+// but the last one: it hits or allocates, and remembers the line.
+func (c *Cache) lookup(addr uint64, write bool) bool {
 	line := addr >> c.lineBits
 	set := int(line & c.setMask)
 	tag := line >> c.tagShift
+	c.last = line
 	c.clock++
 	if c.assoc == 1 {
 		// Direct-mapped fast path (the default L1D): one compare, no LRU
 		// bookkeeping — the single way is always the victim.
-		if c.tags[set] == tag && c.valid[set] {
+		if c.tags[set] == tag {
 			if write {
 				c.stats.WriteHits++
 			} else {
@@ -160,13 +202,12 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		} else {
 			c.stats.ReadMisses++
 		}
-		c.valid[set] = true
 		c.tags[set] = tag
 		return false
 	}
 	base := set * c.assoc
 	for w := base; w < base+c.assoc; w++ {
-		if c.valid[w] && c.tags[w] == tag {
+		if c.tags[w] == tag {
 			c.lru[w] = c.clock
 			if write {
 				c.stats.WriteHits++
@@ -185,7 +226,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	victim := base
 	var oldest uint64 = ^uint64(0)
 	for w := base; w < base+c.assoc; w++ {
-		if !c.valid[w] {
+		if c.tags[w] == none {
 			victim = w
 			break
 		}
@@ -194,17 +235,10 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 			victim = w
 		}
 	}
-	c.valid[victim] = true
 	c.tags[victim] = tag
 	c.lru[victim] = c.clock
 	return false
 }
-
-// Read is Access(addr, false).
-func (c *Cache) Read(addr uint64) bool { return c.Access(addr, false) }
-
-// Write is Access(addr, true).
-func (c *Cache) Write(addr uint64) bool { return c.Access(addr, true) }
 
 // Contains reports whether addr's line is currently cached (no statistics
 // side effects); used by tests.
@@ -212,7 +246,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
 	base := set * c.assoc
 	for w := base; w < base+c.assoc; w++ {
-		if c.valid[w] && c.tags[w] == tag {
+		if c.tags[w] == tag {
 			return true
 		}
 	}

@@ -94,6 +94,7 @@ type referenceCache struct {
 	assoc    int
 	lineBits uint
 	lines    [][]uint64 // per set, MRU first
+	stats    Stats
 }
 
 func newReference(cfg Config) *referenceCache {
@@ -104,6 +105,27 @@ func newReference(cfg Config) *referenceCache {
 	}
 	r.lines = make([][]uint64, r.sets)
 	return r
+}
+
+// accessCounted is access plus the statistics the cache keeps.
+func (r *referenceCache) accessCounted(addr uint64, write bool) bool {
+	hit := r.access(addr)
+	switch {
+	case hit && write:
+		r.stats.WriteHits++
+	case hit:
+		r.stats.ReadHits++
+	case write:
+		r.stats.WriteMisses++
+	default:
+		r.stats.ReadMisses++
+	}
+	return hit
+}
+
+func (r *referenceCache) flush() {
+	clear(r.lines)
+	r.stats = Stats{}
 }
 
 func (r *referenceCache) access(addr uint64) bool {
@@ -161,6 +183,50 @@ func TestAgainstReferenceModel(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Fetch-like streams: runs of sequential 4-byte accesses that stay on
+	// one line for several accesses (the same-line fast path), jumps to
+	// other lines, Read/Write/Access mixed, and an occasional Flush. The
+	// hit result and every Stats field must match after each access.
+	fetch := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for _, cfg := range configs {
+			c := New(cfg)
+			ref := newReference(cfg)
+			pc := uint64(0)
+			for i := 0; i < 4000; i++ {
+				switch r := rng.Intn(100); {
+				case r == 0:
+					c.Flush()
+					ref.flush()
+				case r < 12:
+					pc = uint64(rng.Intn(4*cfg.SizeBytes)) &^ 3
+				default:
+					pc += 4
+				}
+				write := rng.Intn(5) == 0
+				var got bool
+				switch {
+				case rng.Intn(2) == 0:
+					got = c.Access(pc, write)
+				case write:
+					got = c.Write(pc)
+				default:
+					got = c.Read(pc)
+				}
+				want := ref.accessCounted(pc, write)
+				if got != want || c.Stats() != ref.stats {
+					t.Logf("seed %d cfg %s access %d addr %#x write %v: got hit=%v stats %+v, want hit=%v stats %+v",
+						seed, cfg.Name, i, pc, write, got, c.Stats(), want, ref.stats)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(fetch, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -102,6 +102,10 @@ type Unit struct {
 
 	totals [NumEvents]uint64
 
+	// Retire accounting not yet posted to the PICs and totals (see Tick).
+	tickInsts  uint64
+	tickCycles uint64
+
 	// Buffered write state (see package comment). At most one pair write is
 	// pending at a time; a write to a different pair drains the old one.
 	pendingWrite bool
@@ -138,6 +142,7 @@ func (u *Unit) NumCounters() int { return len(u.pic) }
 // register): counter i counts events[i]. Counters beyond len(events) are
 // deselected; events beyond the bank width are ignored.
 func (u *Unit) SelectAll(events []Event) {
+	u.sync()
 	for i := range u.sel {
 		if i < len(events) {
 			u.sel[i] = events[i]
@@ -193,14 +198,46 @@ func (u *Unit) Count(ev Event, n uint64) {
 	}
 }
 
+// Tick records one retired instruction and its base cycles: the same
+// counts as Count(EvInsts, 1) and Count(EvCycles, cycles), but posted
+// lazily. The simulator calls it once per instruction, and counters need
+// to be exact only when something observes them, so Tick bumps two
+// pending fields and the unit posts them (sync) before any read of a PIC
+// or a total and before anything that changes how later events count: a
+// PIC write landing, a selection change, a scheduler drain. Counting is
+// addition, so posting late changes no value.
+func (u *Unit) Tick(cycles uint64) {
+	u.tickInsts++
+	u.tickCycles += cycles
+}
+
+// sync posts the retire accounting pending from Tick.
+func (u *Unit) sync() {
+	if u.tickInsts == 0 {
+		return
+	}
+	u.Count(EvInsts, u.tickInsts)
+	u.Count(EvCycles, u.tickCycles)
+	u.tickInsts, u.tickCycles = 0, 0
+}
+
 // Retire notes that an instruction retired, aging any buffered write. The
-// simulator calls this once per instruction.
+// simulator calls this once per instruction, so it is kept small enough to
+// inline.
 func (u *Unit) Retire() {
 	if u.pendingWrite {
-		u.pendingFuel--
-		if u.pendingFuel <= 0 {
-			u.applyPending()
-		}
+		u.age()
+	}
+}
+
+// age counts one retirement against the buffered write, draining it when
+// its latency has passed. It stays out of line so that Retire inlines.
+//
+//go:noinline
+func (u *Unit) age() {
+	u.pendingFuel--
+	if u.pendingFuel <= 0 {
+		u.applyPending()
 	}
 }
 
@@ -209,7 +246,11 @@ func (u *Unit) applyPending() {
 	u.pendingWrite = false
 }
 
+// setPair overwrites pair p. Retire accounting pending until now lands in
+// the old values first, and is lost with them, as it would have been had
+// it been counted when it happened.
 func (u *Unit) setPair(p int, v uint64) {
+	u.sync()
 	u.pic[2*p] = uint32(v)
 	if 2*p+1 < len(u.pic) {
 		u.pic[2*p+1] = uint32(v >> 32)
@@ -247,6 +288,7 @@ func (u *Unit) ReadPair(p int) uint64 {
 	if u.pendingWrite {
 		u.applyPending()
 	}
+	u.sync()
 	if 2*p >= len(u.pic) {
 		panic(fmt.Sprintf("hpm: read of counter pair %d on a %d-counter bank", p, len(u.pic)))
 	}
@@ -257,18 +299,6 @@ func (u *Unit) ReadPair(p int) uint64 {
 	return v
 }
 
-// Write sets counter pair 0 from one 64-bit value (PIC0 low, PIC1 high).
-//
-// Deprecated: pair-packed access exists for the classic two-counter
-// instrumentation; new code should use WriteAll (or WritePair with an
-// explicit pair index).
-func (u *Unit) Write(v uint64) { u.WritePair(0, v) }
-
-// Read returns counter pair 0 as one 64-bit value.
-//
-// Deprecated: see Write; new code should use ReadAll or ReadPair.
-func (u *Unit) Read() uint64 { return u.ReadPair(0) }
-
 // ReadAll copies every counter into dst (allocating when dst is too short),
 // forcing any buffered write to complete first. It returns the filled
 // slice.
@@ -276,6 +306,7 @@ func (u *Unit) ReadAll(dst []uint32) []uint32 {
 	if u.pendingWrite {
 		u.applyPending()
 	}
+	u.sync()
 	if cap(dst) < len(u.pic) {
 		dst = make([]uint32, len(u.pic))
 	}
@@ -300,10 +331,8 @@ func (u *Unit) WriteAll(vals []uint32) {
 	}
 }
 
-// Split decomposes a packed pair reading into (low, high) counters.
-//
-// Deprecated: pair-packed access exists for the classic two-counter
-// instrumentation; new code should use ReadAll/WriteAll.
+// Split decomposes a packed pair reading (ReadPair) into its (low, high)
+// counters; it is Pack's inverse.
 func Split(v uint64) (pic0, pic1 uint32) {
 	return uint32(v), uint32(v >> 32)
 }
@@ -317,10 +346,19 @@ func Pack(pic0, pic1 uint32) uint64 { return uint64(pic1)<<32 | uint64(pic0) }
 func Delta32(before, after uint32) uint32 { return after - before }
 
 // Total returns the 64-bit shadow total for ev (unaffected by PIC writes).
-func (u *Unit) Total(ev Event) uint64 { return u.totals[ev] }
+func (u *Unit) Total(ev Event) uint64 {
+	u.sync()
+	return u.totals[ev]
+}
 
 // Totals returns a copy of all shadow totals.
-func (u *Unit) Totals() [NumEvents]uint64 { return u.totals }
+func (u *Unit) Totals() [NumEvents]uint64 {
+	u.sync()
+	return u.totals
+}
 
 // ResetTotals zeroes the shadow totals (PICs are untouched).
-func (u *Unit) ResetTotals() { u.totals = [NumEvents]uint64{} }
+func (u *Unit) ResetTotals() {
+	u.sync()
+	u.totals = [NumEvents]uint64{}
+}

@@ -12,7 +12,7 @@ func TestSelectAndCount(t *testing.T) {
 	u.Count(EvDCacheWriteMiss, 2)
 	u.Count(EvInsts, 10)
 	u.Count(EvCycles, 99) // not selected
-	pic0, pic1 := Split(u.Read())
+	pic0, pic1 := Split(u.ReadPair(0))
 	if pic0 != 5 {
 		t.Fatalf("pic0 = %d, want 5 (combined D-miss)", pic0)
 	}
@@ -27,10 +27,10 @@ func TestSelectAndCount(t *testing.T) {
 func TestCounterWrap(t *testing.T) {
 	u := New()
 	u.Select(EvInsts, EvNone)
-	u.Write(uint64(0xFFFF_FFF0)) // PIC0 near wrap
-	u.Read()                     // complete the write
+	u.WritePair(0, uint64(0xFFFF_FFF0)) // PIC0 near wrap
+	u.ReadPair(0)                       // complete the write
 	u.Count(EvInsts, 0x20)
-	pic0, _ := Split(u.Read())
+	pic0, _ := Split(u.ReadPair(0))
 	if pic0 != 0x10 {
 		t.Fatalf("pic0 = %#x, want 0x10 after wrap", pic0)
 	}
@@ -56,13 +56,13 @@ func TestWriteWithoutReadLosesEvents(t *testing.T) {
 	u.Count(EvInsts, 100)
 
 	// Correct idiom: write then read, then two events.
-	u.Write(0)
-	u.Read()
+	u.WritePair(0, 0)
+	u.ReadPair(0)
 	u.Count(EvInsts, 1)
 	u.Retire()
 	u.Count(EvInsts, 1)
 	u.Retire()
-	if pic0, _ := Split(u.Read()); pic0 != 2 {
+	if pic0, _ := Split(u.ReadPair(0)); pic0 != 2 {
 		t.Fatalf("read-after-write: pic0 = %d, want 2", pic0)
 	}
 
@@ -71,7 +71,7 @@ func TestWriteWithoutReadLosesEvents(t *testing.T) {
 	u2 := New()
 	u2.Select(EvInsts, EvNone)
 	u2.Count(EvInsts, 100)
-	u2.Write(0)
+	u2.WritePair(0, 0)
 	u2.Count(EvInsts, 1)
 	u2.Retire()
 	u2.Count(EvInsts, 1)
@@ -80,7 +80,7 @@ func TestWriteWithoutReadLosesEvents(t *testing.T) {
 	u2.Retire() // write drains here, discarding the 3 events
 	u2.Count(EvInsts, 1)
 	u2.Retire()
-	if pic0, _ := Split(u2.Read()); pic0 != 1 {
+	if pic0, _ := Split(u2.ReadPair(0)); pic0 != 1 {
 		t.Fatalf("write-without-read: pic0 = %d, want 1 (3 events lost)", pic0)
 	}
 }
@@ -90,9 +90,9 @@ func TestNonStrictWriteImmediate(t *testing.T) {
 	u.Strict = false
 	u.Select(EvInsts, EvNone)
 	u.Count(EvInsts, 7)
-	u.Write(0)
+	u.WritePair(0, 0)
 	u.Count(EvInsts, 2)
-	if pic0, _ := Split(u.Read()); pic0 != 2 {
+	if pic0, _ := Split(u.ReadPair(0)); pic0 != 2 {
 		t.Fatalf("pic0 = %d, want 2", pic0)
 	}
 }

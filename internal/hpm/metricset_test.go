@@ -68,7 +68,7 @@ func TestReadAllForcesPendingWrite(t *testing.T) {
 		t.Fatalf("ReadAll = %v, want pending write drained to zero", vals)
 	}
 	u.Count(EvInsts, 2)
-	if pic0, _ := Split(u.Read()); pic0 != 2 {
+	if pic0, _ := Split(u.ReadPair(0)); pic0 != 2 {
 		t.Fatalf("pic0 = %d, want 2", pic0)
 	}
 }

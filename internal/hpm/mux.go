@@ -78,6 +78,7 @@ func (s *Scheduler) program() {
 // drain folds the bank's current counts into the active group's raw totals
 // and charges it weight units of residency.
 func (s *Scheduler) drain(weight uint64) {
+	s.unit.sync()
 	base := 0
 	for g := 0; g < s.active; g++ {
 		base += len(s.groups[g])

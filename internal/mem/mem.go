@@ -33,43 +33,71 @@ type page [pageWords]int64
 // Memory is a sparse 64-bit word-addressable address space. All accesses
 // are 8-byte words at 8-byte-aligned byte addresses; unaligned access
 // panics, since it indicates a program or instrumentation bug.
+//
+// A Memory is not safe for concurrent use, not even by loads only: Load
+// updates the one-page lookup memo.
 type Memory struct {
 	pages map[uint64]*page
-	words uint64 // number of distinct words ever touched (footprint stat)
+
+	// lastPN and lastPage memoize the most recently used resident page,
+	// so runs of accesses to one page skip the map. Pages are never freed,
+	// so the memo cannot go stale. lastPN is noPage until a page is used.
+	lastPN   uint64
+	lastPage *page
 }
+
+// noPage is the "no page used yet" value of Memory.lastPN; page numbers
+// are addresses shifted right, so none reaches it.
+const noPage = ^uint64(0)
 
 // New returns an empty address space.
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+	return &Memory{pages: make(map[uint64]*page), lastPN: noPage}
 }
 
 func split(addr uint64) (pageNo uint64, idx uint64) {
 	if addr&7 != 0 {
-		panic(fmt.Sprintf("mem: unaligned access at %#x", addr))
+		panic(unalignedAccess(addr))
 	}
 	w := addr >> wordShift
 	return w >> pageWordShift, w & (pageWords - 1)
 }
 
+// unalignedAccess is split's panic value. Formatting the message only when
+// it is printed keeps split small enough to inline into Load and Store.
+type unalignedAccess uint64
+
+func (a unalignedAccess) Error() string {
+	return fmt.Sprintf("mem: unaligned access at %#x", uint64(a))
+}
+
 // Load reads the 64-bit word at addr (0 if never written).
 func (m *Memory) Load(addr uint64) int64 {
 	pn, idx := split(addr)
+	if pn == m.lastPN {
+		return m.lastPage[idx]
+	}
 	p := m.pages[pn]
 	if p == nil {
 		return 0
 	}
+	m.lastPN, m.lastPage = pn, p
 	return p[idx]
 }
 
 // Store writes the 64-bit word at addr.
 func (m *Memory) Store(addr uint64, v int64) {
 	pn, idx := split(addr)
+	if pn == m.lastPN {
+		m.lastPage[idx] = v
+		return
+	}
 	p := m.pages[pn]
 	if p == nil {
 		p = new(page)
 		m.pages[pn] = p
-		m.words += 0 // counted per-word below
 	}
+	m.lastPN, m.lastPage = pn, p
 	p[idx] = v
 }
 

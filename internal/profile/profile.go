@@ -196,9 +196,13 @@ func (p *Profile) TotalExecutedPaths() int {
 
 // Merge adds other's counts into p (matching procedures by ID). Profiles
 // from repeated runs of the same instrumented program can be combined; the
-// metric schemas must agree, since slot i of one run is only meaningfully
-// summable with slot i of another when both counted the same event.
+// modes and metric schemas must agree, since slot i of one run is only
+// meaningfully summable with slot i of another when both counted the same
+// event under the same instrumentation. On an error p is unchanged.
 func (p *Profile) Merge(other *Profile) error {
+	if p.Mode != other.Mode {
+		return fmt.Errorf("profile: merge mode mismatch: %q vs %q", p.Mode, other.Mode)
+	}
 	if p.SchemaKey() != other.SchemaKey() {
 		return fmt.Errorf("profile: merge schema mismatch: %q vs %q", p.SchemaKey(), other.SchemaKey())
 	}

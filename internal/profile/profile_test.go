@@ -143,6 +143,20 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsModeMismatch: profiles of different instrumentation
+// modes never sum, and the rejected merge leaves the receiver unchanged.
+func TestMergeRejectsModeMismatch(t *testing.T) {
+	a, b := sample(), sample()
+	b.Mode = "context+hw"
+	err := a.Merge(b)
+	if err == nil || !strings.Contains(err.Error(), "mode mismatch") {
+		t.Fatalf("Merge(flow+hw, context+hw) = %v, want a mode mismatch", err)
+	}
+	if want := sample(); !slices.EqualFunc(a.Procs[0].Entries, want.Procs[0].Entries, entriesEqual) {
+		t.Fatalf("rejected merge changed the receiver: %+v", a.Procs[0].Entries)
+	}
+}
+
 func TestProcLookup(t *testing.T) {
 	p := sample()
 	if p.Proc(1) == nil || p.Proc(99) != nil {

@@ -390,16 +390,24 @@ func (m *Machine) addCycles(n uint64) {
 }
 
 func (m *Machine) storeBufferPush(hit bool) {
-	// Find the earliest-free slot; stall if it frees in the future.
-	best := 0
+	// Take a slot that is already free, else the earliest-free one and
+	// stall until it frees. Free slots are interchangeable: m.cycles never
+	// decreases, so a slot free now stays free and its old time never
+	// matters again, and the first free slot found serves as well as the
+	// earliest.
+	now := m.cycles
+	best, free := 0, m.storeFree[0]
 	for i, f := range m.storeFree {
-		if f < m.storeFree[best] {
-			best = i
+		if f <= now {
+			best, free = i, f
+			break
+		}
+		if f < free {
+			best, free = i, f
 		}
 	}
-	now := m.cycles
-	if m.storeFree[best] > now {
-		stall := m.storeFree[best] - now
+	if free > now {
+		stall := free - now
 		m.addCycles(stall)
 		m.pmu.Count(hpm.EvStoreBufStalls, stall)
 		now = m.cycles
@@ -490,18 +498,22 @@ func (m *Machine) step() error {
 	}
 
 	// Retire accounting: one instruction; the base cycle is shared across
-	// IssueWidth instructions when a superscalar width is configured.
+	// IssueWidth instructions when a superscalar width is configured. The
+	// PMU posts the instruction and its base cycle lazily (hpm.Unit.Tick);
+	// m.cycles stays eager for RdTick, the store buffer and the FP
+	// scoreboard.
 	m.steps++
-	m.pmu.Count(hpm.EvInsts, 1)
-	if m.cfg.IssueWidth <= 1 {
-		m.addCycles(1)
-	} else {
+	base := uint64(1)
+	if m.cfg.IssueWidth > 1 {
 		m.issueSlots++
 		if m.issueSlots >= m.cfg.IssueWidth {
-			m.addCycles(1)
 			m.issueSlots = 0
+		} else {
+			base = 0
 		}
 	}
+	m.cycles += base
+	m.pmu.Tick(base)
 
 	regs := &m.cur.regs
 	advance := true
