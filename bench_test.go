@@ -1138,8 +1138,12 @@ func wireBenchData(b *testing.B) (*profile.Profile, *cct.Export) {
 	return wireBench.profile, wireBench.export
 }
 
-// BenchmarkWireEncodeProfile measures profile serialization throughput
-// (b.SetBytes reports MB/s of wire output).
+// The BenchmarkWireEncode*/Decode* benchmarks measure the one-item
+// frame a single producer sends (wire.EncodeProfile/EncodeExport and
+// wire.DecodeProfile/DecodeExport); b.SetBytes reports MB/s of wire
+// bytes.
+
+// BenchmarkWireEncodeProfile measures profile serialization throughput.
 func BenchmarkWireEncodeProfile(b *testing.B) {
 	p, _ := wireBenchData(b)
 	var buf bytes.Buffer
@@ -1225,9 +1229,9 @@ func BenchmarkWireDecodeCCT(b *testing.B) {
 }
 
 // BenchmarkWireIngest is the end-to-end collection-tier measurement: each
-// iteration encodes a real CCT export, POSTs it over loopback HTTP to a
-// live collector, and folds it into the sharded aggregate (decode +
-// MergeExports on the server). SetBytes is the envelope size, so the
+// iteration encodes a real CCT export as a one-item frame, POSTs it over
+// loopback HTTP to a live collector, and folds it into the sharded
+// aggregate. SetBytes is the envelope size, so the
 // reported MB/s is sustained single-client ingest bandwidth.
 func BenchmarkWireIngest(b *testing.B) {
 	p, ex := wireBenchData(b)
@@ -1280,8 +1284,8 @@ func ingestBenchFrame(b *testing.B, n int) []byte {
 }
 
 // BenchmarkIngestSinglePOST is the baseline the batched path is measured
-// against: one envelope per POST over loopback HTTP, i.e. one iteration
-// is one ingested envelope.
+// against: one envelope per POST (a one-item frame) over loopback HTTP,
+// i.e. one iteration is one ingested envelope.
 func BenchmarkIngestSinglePOST(b *testing.B) {
 	p, _ := wireBenchData(b)
 	c := collector.New(collector.Config{Shards: 4})

@@ -15,9 +15,9 @@ import (
 // cct.MergeExports/MergeAllExports), which builds a fresh result and is
 // what queries use to combine per-shard snapshots.
 //
-// Every push reaches the fold as a decoded batch item: frames directly,
-// single envelopes after conversion through the batch codec
-// (Collector.ingestEnvelope). Each shard folds items in place into flat
+// Every push reaches the fold as a decoded frame item; a legacy
+// version-1/2 envelope is converted to a one-item frame first
+// (Collector.applyPayload). Each shard folds items in place into flat
 // scratch aggregates:
 //
 //   - profAgg keys path entries by sum through a flat.Table, so folding a

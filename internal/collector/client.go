@@ -220,12 +220,12 @@ func (cl *Client) push(ctx context.Context, v any) (*IngestResponse, error) {
 	return cl.pushBytes(ctx, body.Bytes())
 }
 
-// PushProfile uploads one path profile.
+// PushProfile uploads one path profile as a one-item frame.
 func (cl *Client) PushProfile(ctx context.Context, p *profile.Profile) (*IngestResponse, error) {
 	return cl.push(ctx, p)
 }
 
-// PushExport uploads one CCT export.
+// PushExport uploads one CCT export as a one-item frame.
 func (cl *Client) PushExport(ctx context.Context, ex *cct.Export) (*IngestResponse, error) {
 	return cl.push(ctx, ex)
 }

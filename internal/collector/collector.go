@@ -1,6 +1,6 @@
 // Package collector implements the profile collection tier: an HTTP
 // service that ingests wire-format envelopes (internal/wire) POSTed by
-// many concurrent producers — singly or in version-3 batched frames —
+// many concurrent producers as version-3 frames of one or many items —
 // folds them into sharded in-memory aggregates, and answers queries by
 // rendering the paper's tables from the merged data.
 //
@@ -11,8 +11,9 @@
 // instead of a convoy of timed-out sockets. Each admitted request is
 // decoded under a request timeout and a body size cap, then folded into
 // one of Config.Shards shard aggregates chosen round-robin (batched
-// frames fold item by item, spreading one frame across shards; single
-// envelopes are converted to a one-item frame first). Shards hold
+// frames fold item by item, spreading one frame across shards; a legacy
+// version-1/2 envelope is converted to the one-item frame current
+// producers send). Shards hold
 // fold-in-place aggregates (see agg.go) that queries snapshot under the
 // shard lock, so readers never share mutable state with the ingest path.
 // Each program's shape (mode, schema, procedure layout) is recorded for
@@ -172,8 +173,8 @@ type Metrics struct {
 
 // foldScratch bundles the reusable decode state one ingest needs: the
 // zero-copy frame parser, the item scratch structs, the ancestor map for
-// CCT folds, and a batch writer for converting single envelopes onto the
-// batch fold path. Pooled so steady-state ingest allocates nothing.
+// CCT folds, and a batch writer for converting legacy envelopes to
+// frames. Pooled so steady-state ingest allocates nothing.
 type foldScratch struct {
 	frame wire.Frame
 	bp    wire.BatchProfile
@@ -314,30 +315,6 @@ func (e *conflictError) Unwrap() error { return e.err }
 func (c *Collector) getScratch() *foldScratch   { return c.scratch.Get().(*foldScratch) }
 func (c *Collector) putScratch(sc *foldScratch) { c.scratch.Put(sc) }
 
-// ingestEnvelope folds one single envelope, p or ex (whichever is
-// non-nil). The envelope is converted through the batch codec, so single
-// envelopes and frames share one fold path.
-func (c *Collector) ingestEnvelope(p *profile.Profile, ex *cct.Export) error {
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	sc.bw.Reset()
-	var err error
-	if p != nil {
-		err = sc.bw.AddProfile(p)
-	} else {
-		err = sc.bw.AddExport(ex)
-	}
-	if err != nil {
-		return err
-	}
-	sc.buf = sc.bw.AppendFrame(sc.buf[:0])
-	if err := sc.frame.Reset(sc.buf); err != nil {
-		return err
-	}
-	_, _, err = c.foldFrame(sc)
-	return err
-}
-
 // ingestBatchProfile folds one decoded batch profile item into a shard.
 func (c *Collector) ingestBatchProfile(bp *wire.BatchProfile, _ *foldScratch) error {
 	sh := c.pick()
@@ -393,6 +370,11 @@ func (c *Collector) ingestBatchCCT(bc *wire.BatchCCT, sc *foldScratch) error {
 func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 	sc := c.getScratch()
 	defer c.putScratch(sc)
+	return c.ingestFrame(sc, data)
+}
+
+// ingestFrame parses data into sc.frame and folds it.
+func (c *Collector) ingestFrame(sc *foldScratch, data []byte) (profiles, ccts int, err error) {
 	if err := sc.frame.Reset(data); err != nil {
 		return 0, 0, err
 	}

@@ -387,6 +387,13 @@ func TestShapeRecordFollowsTake(t *testing.T) {
 // and every push must appear in exactly one Take.
 func TestTakeDuringIngest(t *testing.T) {
 	prof, tree := fixtures(t)
+	var pb, xb bytes.Buffer
+	if err := wire.EncodeProfile(&pb, prof); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.EncodeExport(&xb, tree.Export("compress")); err != nil {
+		t.Fatal(err)
+	}
 	c := New(Config{Shards: 4})
 	const pushers, perPusher = 4, 25
 	var wg sync.WaitGroup
@@ -395,10 +402,10 @@ func TestTakeDuringIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perPusher; j++ {
-				if err := c.ingestEnvelope(prof, nil); err != nil {
+				if err := c.ApplyPayload(pb.Bytes()); err != nil {
 					t.Error(err)
 				}
-				if err := c.ingestEnvelope(nil, tree.Export("compress")); err != nil {
+				if err := c.ApplyPayload(xb.Bytes()); err != nil {
 					t.Error(err)
 				}
 			}

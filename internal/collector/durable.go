@@ -3,7 +3,6 @@ package collector
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 
 	"pathprof/internal/store"
@@ -100,8 +99,8 @@ func (c *Collector) Checkpoint() error {
 	return c.store.SnapshotNow()
 }
 
-// ApplyPayload folds one raw pushed payload — a single wire envelope or
-// a version-3 batched frame — into the shard aggregates. This is the
+// ApplyPayload folds one raw pushed payload — a version-3 frame or a
+// legacy version-1/2 envelope — into the shard aggregates. This is the
 // store's replay callback: re-applying the log through it reproduces
 // the in-memory state the acks described.
 func (c *Collector) ApplyPayload(data []byte) error {
@@ -109,26 +108,50 @@ func (c *Collector) ApplyPayload(data []byte) error {
 	return err
 }
 
-// applyPayload folds one payload and describes what it carried.
+// applyPayload folds one payload and builds its ack. A legacy envelope,
+// from an old producer or an old store record, is first converted to
+// the one-item frame a current producer would have sent; every payload
+// then folds through the frame path.
 func (c *Collector) applyPayload(data []byte) (IngestResponse, error) {
-	if wire.IsFrame(data) {
-		profiles, ccts, err := c.IngestFrame(data)
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	if !wire.IsFrame(data) {
+		pl, err := wire.Decode(bytes.NewReader(data))
 		if err != nil {
 			return IngestResponse{}, err
 		}
-		return IngestResponse{Kind: "batch", Envelopes: profiles + ccts, Profiles: profiles, CCTs: ccts}, nil
+		sc.bw.Reset()
+		if pl.Kind == wire.KindProfile {
+			err = sc.bw.AddProfile(pl.Profile)
+		} else {
+			err = sc.bw.AddExport(pl.Export)
+		}
+		if err != nil {
+			return IngestResponse{}, err
+		}
+		sc.buf = sc.bw.AppendFrame(sc.buf[:0])
+		data = sc.buf
 	}
-	pl, err := wire.Decode(bytes.NewReader(data))
+	profiles, ccts, err := c.ingestFrame(sc, data)
 	if err != nil {
 		return IngestResponse{}, err
 	}
-	if pl.Program() == "" {
-		return IngestResponse{}, errors.New("payload names no program")
+	return ingestAck(sc, profiles, ccts), nil
+}
+
+// ingestAck describes a folded push. A push of exactly one envelope acks
+// as that envelope's kind and program; a larger one acks as a batch. Both
+// carry the counts.
+func ingestAck(sc *foldScratch, profiles, ccts int) IngestResponse {
+	r := IngestResponse{Kind: "batch", Envelopes: profiles + ccts, Profiles: profiles, CCTs: ccts}
+	if r.Envelopes == 1 {
+		if profiles == 1 {
+			r.Kind, r.Program = wire.KindProfile.String(), string(sc.bp.Program)
+		} else {
+			r.Kind, r.Program = wire.KindCCT.String(), string(sc.bc.Program)
+		}
 	}
-	if err := c.ingestEnvelope(pl.Profile, pl.Export); err != nil {
-		return IngestResponse{}, err
-	}
-	return IngestResponse{Kind: pl.Kind.String(), Program: pl.Program()}, nil
+	return r
 }
 
 // SnapshotFrame encodes every program's fully merged aggregates as one

@@ -422,4 +422,3 @@ func TestParseAckMode(t *testing.T) {
 		t.Fatalf("AckMode strings: %q %q", AckNone, AckBatch)
 	}
 }
-

@@ -18,7 +18,7 @@ import (
 
 // Handler returns the collector's HTTP surface:
 //
-//	POST /ingest         one wire envelope (profile or CCT export)
+//	POST /ingest         one wire frame, or one legacy v1/v2 envelope
 //	GET  /table/3        CCT statistics from merged exports
 //	GET  /table/4        hot paths from merged profiles
 //	GET  /table/5        hot procedures from merged profiles
@@ -44,9 +44,11 @@ func (c *Collector) Handler() http.Handler {
 	return mux
 }
 
-// IngestResponse is the JSON body of a successful push. Batched frames
-// additionally report how many envelopes of each kind the frame carried
-// (Kind is "batch" and Program is empty: one frame may span programs).
+// IngestResponse is the JSON body of a successful push: how many
+// envelopes of each kind it carried. A push of exactly one envelope —
+// a one-item frame or a legacy envelope — names its kind ("profile" or
+// "cct") and program; a larger one has Kind "batch" and no Program, since
+// one frame may span programs.
 type IngestResponse struct {
 	Kind      string `json:"kind"`
 	Program   string `json:"program,omitempty"`
@@ -132,9 +134,9 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Single envelopes and batched frames share one fold path
-	// (applyPayload, durable.go); frames decode into pooled scratch and
-	// fold without materializing intermediate Profile/Export values.
+	// Every payload folds through one path (applyPayload, durable.go):
+	// frames decode into pooled scratch and fold without materializing
+	// intermediate Profile/Export values.
 	//
 	// With a store mounted, the payload is appended and group-committed
 	// to disk first and folded only once durable, so the ack below means

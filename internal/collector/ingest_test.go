@@ -65,7 +65,7 @@ func TestBatchIngestMatchesSingles(t *testing.T) {
 	programs := []string{"compress", "otherprog"}
 	ctx := context.Background()
 
-	// Reference: the v1/v2 single-envelope path.
+	// Reference: one envelope per POST.
 	_, singleCl := newServer(t, Config{Shards: 4})
 	for _, e := range envs {
 		var err error

@@ -128,57 +128,47 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 	}
 
 	bw := wire.NewBatchWriter()
-	// Envelopes in the current frame, kept for local re-ingest if the
-	// push fails. Re-ingest cannot conflict: Take left fresh aggregates,
-	// and these envelopes came from mutually consistent ones.
-	var pendingP, pendingX []int // indices into profiles / exports
 	var firstErr error
-
 	push := func() {
 		if bw.Items() == 0 {
 			return
 		}
 		n := bw.Items()
-		_, err := r.Upstream.PushFrame(ctx, bw.Frame())
-		if err != nil {
+		frame := bw.Frame()
+		if _, err := r.Upstream.PushFrame(ctx, frame); err != nil {
 			r.flushFailures.Add(1)
 			if firstErr == nil {
 				firstErr = err
 			}
-			for _, i := range pendingP {
-				r.Local.ingestEnvelope(profiles[i], nil)
-			}
-			for _, i := range pendingX {
-				r.Local.ingestEnvelope(nil, exports[i])
-			}
+			// Fold the frame back in locally. This cannot conflict: Take
+			// left fresh aggregates, and the frame's envelopes came from
+			// mutually consistent ones.
+			r.Local.IngestFrame(frame)
 		} else {
 			r.framesPushed.Add(1)
 			r.envelopesPushed.Add(uint64(n))
 		}
 		bw.Reset()
-		pendingP, pendingX = pendingP[:0], pendingX[:0]
 	}
 
-	for i, p := range profiles {
+	for _, p := range profiles {
 		if err := bw.AddProfile(p); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		pendingP = append(pendingP, i)
 		if bw.Items() >= r.maxItems() {
 			push()
 		}
 	}
-	for i, ex := range exports {
+	for _, ex := range exports {
 		if err := bw.AddExport(ex); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		pendingX = append(pendingX, i)
 		if bw.Items() >= r.maxItems() {
 			push()
 		}

@@ -10,12 +10,12 @@ import (
 	"pathprof/internal/profile"
 )
 
-// Wire version 3: batched multi-profile frames.
+// Wire version 3: batched multi-profile frames, the only format written.
 //
-// A frame carries many envelopes in one POST so the per-request costs
-// (HTTP round trip, header parse, checksum, admission) amortize across
-// the batch, and so the decoder can work zero-copy over one contiguous
-// buffer instead of pulling a checksummed byte stream. Layout:
+// A frame carries any number of envelopes in one POST — a single push
+// is a frame of one — so the per-request costs (HTTP round trip, header
+// parse, checksum, admission) amortize across a batch, and the decoder
+// works zero-copy over one contiguous buffer. Layout:
 //
 //	"PPW1"                         magic (shared with v1/v2)
 //	version  byte                  3
@@ -87,8 +87,8 @@ const (
 const maxBatchStrings = 1 << 20
 
 // IsFrame reports whether data begins like a version-3 batched frame.
-// Collectors use it to route a request body between the streaming
-// envelope decoder and the frame parser.
+// Collectors use it to tell frames from legacy version-1/2 envelopes,
+// which they convert to one-item frames before folding.
 func IsFrame(data []byte) bool {
 	return len(data) >= 6 && [4]byte(data[:4]) == magic &&
 		data[4] == FrameVersion && Kind(data[5]) == KindBatch
@@ -367,89 +367,56 @@ func ParseFrame(data []byte) (*Frame, error) {
 	return f, nil
 }
 
-func frameErr(off int, format string, args ...interface{}) error {
-	return fmt.Errorf("wire: frame offset %d: %s", off, fmt.Sprintf(format, args...))
-}
-
-// Reset re-points the frame at data, parsing the header, verifying the
+// Reset re-points the frame at data, checking the header and the
 // CRC-32C trailer, indexing the string table and locating every item.
 func (f *Frame) Reset(data []byte) error {
 	f.data = data
 	f.strs = f.strs[:0]
 	f.items = f.items[:0]
-	if len(data) < 6+1+4 {
-		return frameErr(0, "truncated frame (%d bytes)", len(data))
+	e, err := openEnvelope(data)
+	if err != nil {
+		return err
 	}
-	if [4]byte(data[:4]) != magic {
-		return frameErr(0, "bad magic %q", data[:4])
+	if e.version != FrameVersion {
+		return errorAt(4, "unsupported frame version %d (want %d)", e.version, FrameVersion)
 	}
-	if data[4] != FrameVersion {
-		return frameErr(4, "unsupported frame version %d (want %d)", data[4], FrameVersion)
-	}
-	if Kind(data[5]) != KindBatch {
-		return frameErr(5, "frame kind %d is not a batch", data[5])
-	}
-	body := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return frameErr(len(body), "checksum mismatch: trailer %08x, computed %08x", want, got)
-	}
-
-	pos := 6
-	sawStrings, sawEnd := false, false
-	for pos < len(body) {
-		id := body[pos]
-		pos++
-		if id == secEnd {
-			sawEnd = true
-			break
+	sawStrings := false
+	for {
+		id, off, payload, err := e.next()
+		if err != nil {
+			return err
 		}
-		n, sz := binary.Uvarint(body[pos:])
-		if sz <= 0 {
-			return frameErr(pos, "bad section length")
-		}
-		pos += sz
-		if n > maxSectionLen || n > uint64(len(body)-pos) {
-			return frameErr(pos, "section %d length %d exceeds frame", id, n)
-		}
-		off, end := pos, pos+int(n)
-		pos = end
 		switch id {
+		case secEnd:
+			if !sawStrings {
+				return errorAt(6, "frame has no string table")
+			}
+			return nil
 		case secBatchStrings:
 			if sawStrings {
-				return frameErr(off, "duplicate string table section")
+				return errorAt(off, "duplicate string table section")
 			}
 			if len(f.items) > 0 {
-				return frameErr(off, "string table after items")
+				return errorAt(off, "string table after items")
 			}
 			sawStrings = true
-			if err := f.parseStrings(body[off:end], off); err != nil {
+			if err := f.parseStrings(payload, off); err != nil {
 				return err
 			}
 		case secBatchProfile:
 			if !sawStrings {
-				return frameErr(off, "profile item before string table")
+				return errorAt(off, "profile item before string table")
 			}
-			f.items = append(f.items, frameItem{kind: KindProfile, off: off, end: end})
+			f.items = append(f.items, frameItem{kind: KindProfile, off: off, end: off + len(payload)})
 		case secBatchCCT:
 			if !sawStrings {
-				return frameErr(off, "cct item before string table")
+				return errorAt(off, "cct item before string table")
 			}
-			f.items = append(f.items, frameItem{kind: KindCCT, off: off, end: end})
+			f.items = append(f.items, frameItem{kind: KindCCT, off: off, end: off + len(payload)})
 		default:
-			return frameErr(off, "unexpected section %d in batch frame", id)
+			return errorAt(off, "unexpected section %d in batch frame", id)
 		}
 	}
-	if !sawEnd {
-		return frameErr(pos, "frame has no end marker")
-	}
-	if pos != len(body) {
-		return frameErr(pos, "%d trailing bytes after end marker", len(body)-pos)
-	}
-	if !sawStrings {
-		return frameErr(6, "frame has no string table")
-	}
-	return nil
 }
 
 func (f *Frame) parseStrings(payload []byte, base int) error {
@@ -457,24 +424,24 @@ func (f *Frame) parseStrings(payload []byte, base int) error {
 	*c = cursor{b: payload}
 	n, err := c.count(1)
 	if err != nil {
-		return frameErr(base, "string table: %v", err)
+		return errorAt(base, "string table: %v", err)
 	}
 	if n > maxBatchStrings {
-		return frameErr(base, "string table declares %d entries", n)
+		return errorAt(base, "string table declares %d entries", n)
 	}
 	for i := 0; i < n; i++ {
 		l, err := c.uvarint()
 		if err != nil {
-			return frameErr(base+c.pos, "string table: %v", err)
+			return errorAt(base+c.pos, "string table: %v", err)
 		}
 		if l > uint64(c.remaining()) {
-			return frameErr(base+c.pos, "string %d length %d exceeds section", i, l)
+			return errorAt(base+c.pos, "string %d length %d exceeds section", i, l)
 		}
 		f.strs = append(f.strs, payload[c.pos:c.pos+int(l)])
 		c.pos += int(l)
 	}
 	if err := c.done(); err != nil {
-		return frameErr(base+c.pos, "string table: %v", err)
+		return errorAt(base+c.pos, "string table: %v", err)
 	}
 	return nil
 }
@@ -543,7 +510,7 @@ func (f *Frame) DecodeProfile(i int, s *BatchProfile) error {
 	c := &s.cur
 	*c = cursor{b: f.data[it.off:it.end]}
 	fail := func(err error) error {
-		return frameErr(it.off+c.pos, "profile item: %v", err)
+		return errorAt(it.off+c.pos, "profile item: %v", err)
 	}
 	idx, err := c.uvarint()
 	if err != nil {
@@ -710,7 +677,7 @@ func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 	c := &s.cur
 	*c = cursor{b: f.data[it.off:it.end]}
 	fail := func(err error) error {
-		return frameErr(it.off+c.pos, "cct item: %v", err)
+		return errorAt(it.off+c.pos, "cct item: %v", err)
 	}
 	idx, err := c.uvarint()
 	if err != nil {

@@ -164,30 +164,36 @@ func TestBatchWriterReuse(t *testing.T) {
 	}
 }
 
-// TestIsFrame: single envelopes are not frames and vice versa; the
-// streaming decoder refuses frame input with a useful error.
+// TestIsFrame: legacy envelopes are not frames, every encoder writes
+// one, and Decode takes a frame of exactly one item, naming the count of
+// any other.
 func TestIsFrame(t *testing.T) {
 	s := newSession(t)
 	p := realProfile(t, s, "compress")
-	var single bytes.Buffer
-	if err := wire.EncodeProfile(&single, p); err != nil {
-		t.Fatal(err)
-	}
-	if wire.IsFrame(single.Bytes()) {
+	if wire.IsFrame(readBlob(t, "v2_profile")) {
 		t.Fatal("IsFrame accepted a v2 single envelope")
 	}
+	single := encodeSingle(t, p)
+	if !wire.IsFrame(single) {
+		t.Fatal("EncodeProfile did not write a frame")
+	}
+	if _, err := wire.Decode(bytes.NewReader(single)); err != nil {
+		t.Fatalf("Decode rejected a one-item frame: %v", err)
+	}
 	w := wire.NewBatchWriter()
-	if err := w.AddProfile(p); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := w.AddProfile(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	frame := w.Frame()
 	if !wire.IsFrame(frame) {
 		t.Fatal("IsFrame rejected a frame")
 	}
 	if _, err := wire.Decode(bytes.NewReader(frame)); err == nil {
-		t.Fatal("streaming Decode accepted a v3 frame")
-	} else if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("streaming Decode error %q does not mention the version", err)
+		t.Fatal("Decode accepted a two-item frame")
+	} else if !strings.Contains(err.Error(), "2 items") {
+		t.Fatalf("Decode error %q does not name the item count", err)
 	}
 }
 
@@ -249,7 +255,7 @@ func TestBatchCorruption(t *testing.T) {
 		{"truncated mid-frame", reframe(valid[:len(valid)/2]), ""},
 		{"crc flip", flipByte(valid, len(valid)/2), "checksum"},
 		{"bad magic", flipByte(valid, 0), "magic"},
-		{"wrong kind for parse", encodeSingle(t, p), "version"},
+		{"wrong kind for parse", readBlob(t, "v2_profile"), "version"},
 		{
 			"duplicate string table",
 			buildFrame(emptyStrings, emptyStrings),

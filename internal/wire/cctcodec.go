@@ -2,13 +2,13 @@ package wire
 
 import (
 	"io"
-	"slices"
 
 	"pathprof/internal/cct"
 	"pathprof/internal/flat"
 )
 
-// CCT payload layout.
+// Legacy CCT envelope layout (kind 2, versions 1 and 2; decoded only —
+// exports are written as frame items, see batch.go).
 //
 // Section secCCTHeader (one, first):
 //
@@ -31,119 +31,11 @@ import (
 
 const flagStructure = 1
 
-// EncodeExport writes ex as one wire envelope.
-func EncodeExport(w io.Writer, ex *cct.Export) error {
-	e := newEncoder(w)
-	if err := e.header(KindCCT); err != nil {
-		return err
-	}
-	b := e.tmp[:0]
-	b = putString(b, ex.Program)
-	b = putUvarint(b, uint64(ex.NumProcs))
-	b = putBool(b, ex.DistinguishSites)
-	b = putUvarint(b, uint64(ex.NumMetrics))
-	var flags byte
-	if ex.HasStructure {
-		flags |= flagStructure
-	}
-	b = append(b, flags)
-	if ex.HasStructure {
-		b = putUvarint(b, ex.SizeBytes)
-		b = putUvarint(b, uint64(ex.ListElems))
-	}
-	if err := e.section(secCCTHeader, b); err != nil {
-		return err
-	}
-
-	var backedges [][2]int
-	var encErr error
-	var rec func(n *cct.ExportedNode)
-	rec = func(n *cct.ExportedNode) {
-		if encErr != nil {
-			return
-		}
-		for _, be := range n.Backedges {
-			backedges = append(backedges, [2]int{n.ID, be})
-		}
-		for _, ch := range n.Children {
-			b = b[:0]
-			b = putUvarint(b, uint64(ch.ID))
-			b = putUvarint(b, uint64(n.ID))
-			b = putVarint(b, int64(ch.Proc))
-			b = putUvarint(b, uint64(len(ch.Metrics)))
-			for _, m := range ch.Metrics {
-				b = putVarint(b, m)
-			}
-			sums := make([]int64, 0, ch.PathCounts.Len())
-			ch.PathCounts.Range(func(s, _ int64) bool {
-				sums = append(sums, s)
-				return true
-			})
-			slices.Sort(sums)
-			b = putUvarint(b, uint64(len(sums)))
-			for _, s := range sums {
-				cnt, _ := ch.PathCounts.Get(s)
-				b = putVarint(b, s)
-				b = putVarint(b, cnt)
-			}
-			if ex.HasStructure {
-				b = putUvarint(b, ch.Size)
-				b = putUvarint(b, uint64(len(ch.Slots)))
-				for _, s := range ch.Slots {
-					st := byte(0)
-					if s.Used {
-						st |= 1
-					}
-					st |= s.PathState << 1
-					b = append(b, st)
-					if s.PathState == 1 {
-						b = putVarint(b, s.PathPrefix)
-					}
-				}
-			}
-			if err := e.section(secCCTNode, b); err != nil {
-				encErr = err
-				return
-			}
-			rec(ch)
-		}
-	}
-	rec(ex.Root)
-	if encErr != nil {
-		return encErr
-	}
-	if len(backedges) > 0 {
-		b = b[:0]
-		b = putUvarint(b, uint64(len(backedges)))
-		for _, be := range backedges {
-			b = putUvarint(b, uint64(be[0]))
-			b = putUvarint(b, uint64(be[1]))
-		}
-		if err := e.section(secCCTBackedges, b); err != nil {
-			return err
-		}
-	}
-	e.tmp = b
-	return e.finish()
-}
-
-// DecodeExport reads one envelope that must carry a CCT export.
-func DecodeExport(r io.Reader) (*cct.Export, error) {
-	pl, err := Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	if pl.Kind != KindCCT {
-		return nil, errKind(KindCCT, pl.Kind)
-	}
-	return pl.Export, nil
-}
-
-func decodeExportSections(d *decoder) (*cct.Export, error) {
+func decodeExportSections(e *envelope) (*cct.Export, error) {
 	var ex *cct.Export
 	sawBackedges := false
 	for {
-		id, payload, err := d.nextSection()
+		id, _, payload, err := e.next()
 		if err != nil {
 			return nil, err
 		}
@@ -154,38 +46,38 @@ func decodeExportSections(d *decoder) (*cct.Export, error) {
 		switch id {
 		case secCCTHeader:
 			if ex != nil {
-				return nil, d.errorf("duplicate cct header section")
+				return nil, e.errorf("duplicate cct header section")
 			}
 			if ex, err = decodeCCTHeader(c); err != nil {
-				return nil, d.errorf("cct header: %v", err)
+				return nil, e.errorf("cct header: %v", err)
 			}
 		case secCCTNode:
 			if ex == nil {
-				return nil, d.errorf("node section before cct header")
+				return nil, e.errorf("node section before cct header")
 			}
 			if sawBackedges {
-				return nil, d.errorf("node section after backedges")
+				return nil, e.errorf("node section after backedges")
 			}
 			if err := decodeCCTNode(c, ex); err != nil {
-				return nil, d.errorf("cct node: %v", err)
+				return nil, e.errorf("cct node: %v", err)
 			}
 		case secCCTBackedges:
 			if ex == nil {
-				return nil, d.errorf("backedge section before cct header")
+				return nil, e.errorf("backedge section before cct header")
 			}
 			if sawBackedges {
-				return nil, d.errorf("duplicate backedge section")
+				return nil, e.errorf("duplicate backedge section")
 			}
 			sawBackedges = true
 			if err := decodeCCTBackedges(c, ex); err != nil {
-				return nil, d.errorf("cct backedges: %v", err)
+				return nil, e.errorf("cct backedges: %v", err)
 			}
 		default:
-			return nil, d.errorf("unexpected section %d in cct payload", id)
+			return nil, e.errorf("unexpected section %d in cct payload", id)
 		}
 	}
 	if ex == nil {
-		return nil, d.errorf("cct payload has no header section")
+		return nil, e.errorf("cct payload has no header section")
 	}
 	return ex, nil
 }

@@ -11,8 +11,8 @@ import (
 	"pathprof/internal/wire"
 )
 
-// seedEnvelopes builds small valid envelopes of both kinds without the
-// simulator, so the corpus is cheap and deterministic.
+// seedEnvelopes builds small valid one-item frames of both kinds without
+// the simulator, so the corpus is cheap and deterministic.
 func seedEnvelopes() [][]byte {
 	p := &profile.Profile{
 		Program: "seed", Mode: "flow+hw", Events: []string{"dcache-miss", "insts"},
@@ -24,8 +24,8 @@ func seedEnvelopes() [][]byte {
 			{ProcID: 1, Name: "leaf", NumPaths: 2},
 		},
 	}
-	// A wide v2 schema: five events on one entry exercises the schema
-	// section with more metric columns than the classic pair.
+	// A wide schema: five events on one entry exercises more metric
+	// columns than the classic pair.
 	wide := &profile.Profile{
 		Program: "seed5", Mode: "flow+hw",
 		Events: []string{"cycles", "insts", "dcache-miss", "icache-miss", "branches"},
@@ -122,6 +122,11 @@ func FuzzDecode(f *testing.F) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 	}
+	for _, name := range legacyBlobs {
+		blob := readBlob(f, name)
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+	}
 	f.Add([]byte("PPW1"))
 	f.Add([]byte("PPW1\x01\x02\x00"))
 	f.Add([]byte("PPW1\x03\x03\x00"))
@@ -132,10 +137,10 @@ func FuzzDecode(f *testing.F) {
 	// must reject cleanly — these seeds keep the two on-disk formats from
 	// ever being confused.
 	for _, env := range seedEnvelopes()[:1] {
-		seg := append([]byte("PPWALSEG\x01\x00\x00\x00\x00\x00\x00\x00"), 1)  // header, kind
-		seg = append(seg, 0x2a, 0, 0, 0, 0, 0, 0, 0)                          // push id
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(env)))         // length
-		crc := crc32.Checksum(seg[16:], crc32.MakeTable(crc32.Castagnoli))    // kind+id+len
+		seg := append([]byte("PPWALSEG\x01\x00\x00\x00\x00\x00\x00\x00"), 1) // header, kind
+		seg = append(seg, 0x2a, 0, 0, 0, 0, 0, 0, 0)                         // push id
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(env)))        // length
+		crc := crc32.Checksum(seg[16:], crc32.MakeTable(crc32.Castagnoli))   // kind+id+len
 		crc = crc32.Update(crc, crc32.MakeTable(crc32.Castagnoli), env)
 		seg = binary.LittleEndian.AppendUint32(seg, crc)
 		seg = append(seg, env...)

@@ -2,12 +2,12 @@ package wire
 
 import (
 	"fmt"
-	"io"
 
 	"pathprof/internal/profile"
 )
 
-// Profile payload layout.
+// Legacy profile envelope layout (kind 1, versions 1 and 2; decoded
+// only — profiles are written as frame items, see batch.go).
 //
 // Version 2, section secProfileSchema (one, first):
 //
@@ -27,10 +27,9 @@ import (
 //
 // (numEvents is fixed at 2 for version-1 envelopes.)
 //
-// The k fields extend the schema to k-iteration path profiles without a
-// version bump: classic (k=1) profiles encode byte-identically to before,
-// and old decoders never see the trailing fields because k>1 profiles are
-// a new schema. Decoders detect the fields by leftover payload bytes.
+// The k fields carry a k-iteration profile's degrees without a version
+// bump: classic envelopes omit them, and the decoder detects them by
+// leftover payload bytes.
 
 // maxWireEvents bounds the schema width a decoded envelope may declare —
 // generous against hpm.MaxCounters, tight against hostile headers.
@@ -40,77 +39,10 @@ const maxWireEvents = 256
 // far above instrument's own ceiling, tight against hostile payloads.
 const maxWireK = 255
 
-// EncodeProfile writes p as one wire envelope.
-func EncodeProfile(w io.Writer, p *profile.Profile) error {
-	e := newEncoder(w)
-	if err := e.header(KindProfile); err != nil {
-		return err
-	}
-	b := e.tmp[:0]
-	b = putString(b, p.Program)
-	b = putString(b, p.Mode)
-	b = putUvarint(b, uint64(len(p.Events)))
-	for _, ev := range p.Events {
-		b = putString(b, ev)
-	}
-	if p.K > 1 {
-		b = putUvarint(b, uint64(p.K))
-	}
-	if err := e.section(secProfileSchema, b); err != nil {
-		return err
-	}
-	for _, pp := range p.Procs {
-		b = b[:0]
-		b = putVarint(b, int64(pp.ProcID))
-		b = putString(b, pp.Name)
-		b = putVarint(b, pp.NumPaths)
-		b = putUvarint(b, uint64(len(pp.Entries)))
-		for i := range pp.Entries {
-			en := &pp.Entries[i]
-			b = putVarint(b, en.Sum)
-			b = putUvarint(b, en.Freq)
-			for k := range p.Events {
-				b = putUvarint(b, en.Metric(k))
-			}
-		}
-		if p.K > 1 {
-			b = putVarint(b, int64(max(pp.K, 1)))
-		}
-		if err := e.section(secProfileProc, b); err != nil {
-			return err
-		}
-	}
-	e.tmp = b
-	return e.finish()
-}
-
-// DecodeProfile reads one envelope that must carry a profile.
-func DecodeProfile(r io.Reader) (*profile.Profile, error) {
-	pl, err := Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	if pl.Kind != KindProfile {
-		return nil, errKind(KindProfile, pl.Kind)
-	}
-	return pl.Profile, nil
-}
-
-func errKind(want, got Kind) error {
-	return &KindError{Want: want, Got: got}
-}
-
-// KindError reports an envelope carrying the wrong payload kind.
-type KindError struct{ Want, Got Kind }
-
-func (e *KindError) Error() string {
-	return "wire: payload is a " + e.Got.String() + ", want " + e.Want.String()
-}
-
-func decodeProfileSections(d *decoder) (*profile.Profile, error) {
+func decodeProfileSections(e *envelope) (*profile.Profile, error) {
 	var p *profile.Profile
 	for {
-		id, payload, err := d.nextSection()
+		id, _, payload, err := e.next()
 		if err != nil {
 			return nil, err
 		}
@@ -121,11 +53,11 @@ func decodeProfileSections(d *decoder) (*profile.Profile, error) {
 		switch id {
 		case secProfileHeader:
 			// Version-1 header: a fixed two-event schema.
-			if d.version != 1 {
-				return nil, d.errorf("v1 profile header in version %d envelope", d.version)
+			if e.version != 1 {
+				return nil, e.errorf("v1 profile header in version %d envelope", e.version)
 			}
 			if p != nil {
-				return nil, d.errorf("duplicate profile header section")
+				return nil, e.errorf("duplicate profile header section")
 			}
 			p = &profile.Profile{Events: make([]string, 2)}
 			if p.Program, err = c.string(); err == nil {
@@ -139,14 +71,14 @@ func decodeProfileSections(d *decoder) (*profile.Profile, error) {
 				err = c.done()
 			}
 			if err != nil {
-				return nil, d.errorf("profile header: %v", err)
+				return nil, e.errorf("profile header: %v", err)
 			}
 		case secProfileSchema:
-			if d.version < 2 {
-				return nil, d.errorf("schema section in version %d envelope", d.version)
+			if e.version < 2 {
+				return nil, e.errorf("schema section in version %d envelope", e.version)
 			}
 			if p != nil {
-				return nil, d.errorf("duplicate profile header section")
+				return nil, e.errorf("duplicate profile header section")
 			}
 			p = &profile.Profile{}
 			if p.Program, err = c.string(); err == nil {
@@ -156,7 +88,7 @@ func decodeProfileSections(d *decoder) (*profile.Profile, error) {
 				var n int
 				if n, err = c.count(1); err == nil {
 					if n > maxWireEvents {
-						return nil, d.errorf("profile schema: %d events exceeds limit", n)
+						return nil, e.errorf("profile schema: %d events exceeds limit", n)
 					}
 					p.Events = make([]string, n)
 					for i := range p.Events {
@@ -171,7 +103,7 @@ func decodeProfileSections(d *decoder) (*profile.Profile, error) {
 				var k uint64
 				if k, err = c.uvarint(); err == nil {
 					if k < 2 || k > maxWireK {
-						return nil, d.errorf("profile schema: bad iteration degree %d", k)
+						return nil, e.errorf("profile schema: bad iteration degree %d", k)
 					}
 					p.K = int(k)
 				}
@@ -180,15 +112,15 @@ func decodeProfileSections(d *decoder) (*profile.Profile, error) {
 				err = c.done()
 			}
 			if err != nil {
-				return nil, d.errorf("profile schema: %v", err)
+				return nil, e.errorf("profile schema: %v", err)
 			}
 		case secProfileProc:
 			if p == nil {
-				return nil, d.errorf("proc section before profile header")
+				return nil, e.errorf("proc section before profile header")
 			}
 			pp, err := decodeProcSection(c, len(p.Events))
 			if err != nil {
-				return nil, d.errorf("proc section: %v", err)
+				return nil, e.errorf("proc section: %v", err)
 			}
 			if p.Procs == nil {
 				// Sections stream, so the proc count is unknown up front;
@@ -198,11 +130,11 @@ func decodeProfileSections(d *decoder) (*profile.Profile, error) {
 			}
 			p.Procs = append(p.Procs, pp)
 		default:
-			return nil, d.errorf("unexpected section %d in profile payload", id)
+			return nil, e.errorf("unexpected section %d in profile payload", id)
 		}
 	}
 	if p == nil {
-		return nil, d.errorf("profile payload has no header section")
+		return nil, e.errorf("profile payload has no header section")
 	}
 	return p, nil
 }

@@ -1,57 +1,54 @@
 // Package wire implements the compact binary encoding profiles travel in
-// between producers and the collection tier (internal/collector): a
-// versioned envelope of varint-encoded, length-prefixed sections with a
-// CRC-32C trailer, carrying either a flow-sensitive path profile
-// (profile.Profile) or a calling context tree export (cct.Export).
+// between producers and the collection tier (internal/collector), for
+// both of the paper's profile kinds: flow-sensitive path profiles
+// (profile.Profile) and calling context tree exports (cct.Export).
 //
-// Layout:
+// Every message shares one framing:
 //
 //	"PPW1"                         magic
-//	version  byte                  format version (currently 2; 1 still decodes)
-//	kind     byte                  1 = profile, 2 = CCT export
+//	version  byte                  format version
+//	kind     byte                  payload kind
 //	sections { id byte, uvarint length, payload }*
 //	end      byte 0                end-of-sections marker
 //	crc      uint32 little-endian  CRC-32C of every preceding byte
 //
-// Version 2 replaces the profile header section with a schema-carrying
-// variant (secProfileSchema): instead of exactly two event-name strings it
-// holds the full N-event metric schema, and each path entry carries N
-// metric accumulators. Version 1 envelopes — fixed two-metric layout — are
-// still decoded (the reader maps them onto a two-event schema), so blobs
-// produced by old producers keep working; see testdata/v1_*.bin.
+// The only format this package writes is the version-3 batched frame
+// (batch.go): a string table plus one section per profile or export, so
+// a single push is simply a frame of one item (Encode, EncodeProfile,
+// EncodeExport). Versions 1 and 2 — one envelope per message, kind
+// 1 = profile or 2 = CCT export, one section per procedure or call
+// record — are decoded only, so blobs and store records written by old
+// producers keep working; see testdata/v1_*.bin and testdata/v2_*.bin.
+// Version 2 carries an N-event metric schema (secProfileSchema); version
+// 1 has a fixed two-event header (secProfileHeader) that the reader maps
+// onto a two-event schema.
 //
-// Sections stream: encoders emit one section per procedure (profiles) or
-// per call record (CCTs), and decoders consume section by section, so
-// neither side holds more than one section's payload beyond the decoded
-// result itself. The codec round-trips byte-identically against the text
-// encoders: re-encoding a decoded value with profile.(*Profile).Write or
-// cct.(*Export).WriteText reproduces the original text file. Unlike the
-// text format, the CCT message also carries the structural detail Table 3
-// needs (record sizes, per-site slot states, heap footprint), so merged
-// aggregates report exact statistics.
+// One in-memory walker (envelope) parses the framing of every version:
+// it checks the header and the checksum trailer, then hands out section
+// payloads as subslices of the caller's buffer, bounding each declared
+// length by maxSectionLen and by the bytes actually present. Frame.Reset
+// and the legacy section decoders both use it. Decoded values round-trip
+// byte-identically against the text encoders: re-encoding them with
+// profile.(*Profile).Write or cct.(*Export).WriteText reproduces the
+// original text file. Unlike the text format, the CCT payload also
+// carries the structural detail Table 3 needs (record sizes, per-site
+// slot states, heap footprint), so merged aggregates report exact
+// statistics.
 //
-// Corrupt, truncated or oversized input yields a descriptive error (never
-// a panic); the trailing checksum rejects bit flips that still parse.
+// Corrupt, truncated or oversized input yields a positioned error
+// ("wire: offset N: ..."), never a panic; the trailing checksum rejects
+// bit flips that still parse.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 
 	"pathprof/internal/cct"
 	"pathprof/internal/profile"
 )
-
-// Version is the format version this package writes.
-const Version = 2
-
-// minVersion is the oldest format version the decoder accepts.
-const minVersion = 1
 
 var magic = [4]byte{'P', 'P', 'W', '1'}
 
@@ -111,7 +108,8 @@ func (p *Payload) Program() string {
 	return ""
 }
 
-// Encode writes v — a *profile.Profile or *cct.Export — as one envelope.
+// Encode writes v — a *profile.Profile or *cct.Export — as a one-item
+// frame.
 func Encode(w io.Writer, v any) error {
 	switch v := v.(type) {
 	case *profile.Profile:
@@ -123,73 +121,188 @@ func Encode(w io.Writer, v any) error {
 	}
 }
 
-// Decode reads one envelope and returns its payload.
+// EncodeProfile writes p as a one-item frame.
+func EncodeProfile(w io.Writer, p *profile.Profile) error {
+	var bw BatchWriter
+	if err := bw.AddProfile(p); err != nil {
+		return err
+	}
+	_, err := w.Write(bw.Frame())
+	return err
+}
+
+// EncodeExport writes ex as a one-item frame.
+func EncodeExport(w io.Writer, ex *cct.Export) error {
+	var bw BatchWriter
+	if err := bw.AddExport(ex); err != nil {
+		return err
+	}
+	_, err := w.Write(bw.Frame())
+	return err
+}
+
+// Decode reads r to its end and decodes the one envelope it holds: a
+// frame carrying exactly one item, or a legacy version-1/2 envelope.
 func Decode(r io.Reader) (*Payload, error) {
-	d := newDecoder(r)
-	kind, err := d.header()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wire: reading envelope: %w", err)
+	}
+	if IsFrame(data) {
+		return decodeFrameOfOne(data)
+	}
+	e, err := openEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
-	pl := &Payload{Kind: kind}
-	switch kind {
-	case KindProfile:
-		pl.Profile, err = decodeProfileSections(d)
-	case KindCCT:
-		pl.Export, err = decodeExportSections(d)
-	default:
-		return nil, d.errorf("unknown payload kind %d", byte(kind))
+	pl := &Payload{Kind: e.kind}
+	if e.kind == KindProfile {
+		pl.Profile, err = decodeProfileSections(&e)
+	} else {
+		pl.Export, err = decodeExportSections(&e)
 	}
 	if err != nil {
-		return nil, err
-	}
-	if err := d.verifyTrailer(); err != nil {
 		return nil, err
 	}
 	return pl, nil
 }
 
-// --- encoder ---
-
-type encoder struct {
-	w   io.Writer
-	crc hash.Hash32
-	tmp []byte
-}
-
-func newEncoder(w io.Writer) *encoder {
-	return &encoder{w: w, crc: crc32.New(crcTable)}
-}
-
-func (e *encoder) raw(b []byte) error {
-	e.crc.Write(b)
-	_, err := e.w.Write(b)
-	return err
-}
-
-func (e *encoder) header(kind Kind) error {
-	return e.raw([]byte{magic[0], magic[1], magic[2], magic[3], Version, byte(kind)})
-}
-
-// section emits one length-prefixed section. The payload buffer is reused
-// across sections (callers rebuild it via e.tmp).
-func (e *encoder) section(id byte, payload []byte) error {
-	hdr := binary.AppendUvarint([]byte{id}, uint64(len(payload)))
-	if err := e.raw(hdr); err != nil {
-		return err
+// DecodeProfile reads one envelope that must carry a profile.
+func DecodeProfile(r io.Reader) (*profile.Profile, error) {
+	pl, err := Decode(r)
+	if err != nil {
+		return nil, err
 	}
-	return e.raw(payload)
+	if pl.Kind != KindProfile {
+		return nil, errKind(KindProfile, pl.Kind)
+	}
+	return pl.Profile, nil
 }
 
-// finish writes the end marker and the checksum trailer.
-func (e *encoder) finish() error {
-	if err := e.raw([]byte{secEnd}); err != nil {
-		return err
+// DecodeExport reads one envelope that must carry a CCT export.
+func DecodeExport(r io.Reader) (*cct.Export, error) {
+	pl, err := Decode(r)
+	if err != nil {
+		return nil, err
 	}
-	sum := e.crc.Sum32()
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	_, err := e.w.Write(tr[:]) // the trailer is not part of its own checksum
-	return err
+	if pl.Kind != KindCCT {
+		return nil, errKind(KindCCT, pl.Kind)
+	}
+	return pl.Export, nil
+}
+
+// decodeFrameOfOne materializes the single item of a one-item frame.
+func decodeFrameOfOne(data []byte) (*Payload, error) {
+	var f Frame
+	if err := f.Reset(data); err != nil {
+		return nil, err
+	}
+	if n := f.Items(); n != 1 {
+		return nil, errorAt(6, "frame holds %d items, want exactly 1", n)
+	}
+	pl := &Payload{Kind: f.Kind(0)}
+	var err error
+	if pl.Kind == KindProfile {
+		pl.Profile, err = f.ProfileAt(0)
+	} else {
+		pl.Export, err = f.ExportAt(0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+func errKind(want, got Kind) error {
+	return &KindError{Want: want, Got: got}
+}
+
+// KindError reports an envelope carrying the wrong payload kind.
+type KindError struct{ Want, Got Kind }
+
+func (e *KindError) Error() string {
+	return "wire: payload is a " + e.Got.String() + ", want " + e.Want.String()
+}
+
+func errorAt(off int, format string, args ...any) error {
+	return fmt.Errorf("wire: offset %d: %s", off, fmt.Sprintf(format, args...))
+}
+
+// --- envelope walker ---
+
+// envelope walks one complete message held in memory. openEnvelope
+// checks the header and the CRC-32C trailer; next then yields the
+// sections in order, each payload a subslice of the message.
+type envelope struct {
+	data    []byte
+	version byte
+	kind    Kind
+	pos     int // offset of the next section header
+	end     int // offset of the checksum trailer
+}
+
+// openEnvelope validates data's header (magic, a known version, a kind
+// that version carries) and its checksum trailer.
+func openEnvelope(data []byte) (envelope, error) {
+	if len(data) < 6+1+4 {
+		return envelope{}, errorAt(len(data), "truncated input (%d bytes)", len(data))
+	}
+	if [4]byte(data[:4]) != magic {
+		return envelope{}, errorAt(0, "bad magic %q", data[:4])
+	}
+	version, kind := data[4], Kind(data[5])
+	switch {
+	case version == FrameVersion:
+		if kind != KindBatch {
+			return envelope{}, errorAt(5, "frame kind %d is not a batch", data[5])
+		}
+	case version == 1 || version == 2:
+		if kind != KindProfile && kind != KindCCT {
+			return envelope{}, errorAt(5, "unknown payload kind %d", data[5])
+		}
+	default:
+		return envelope{}, errorAt(4, "unsupported version %d (accept 1..%d)", version, FrameVersion)
+	}
+	end := len(data) - 4
+	want := binary.LittleEndian.Uint32(data[end:])
+	if got := crc32.Checksum(data[:end], crcTable); got != want {
+		return envelope{}, errorAt(end, "checksum mismatch: trailer %08x, computed %08x", want, got)
+	}
+	return envelope{data: data, version: version, kind: kind, pos: 6, end: end}, nil
+}
+
+// next returns the next section's id and payload. At the end marker it
+// returns secEnd and a nil payload, after checking that the trailer
+// follows the marker directly.
+func (e *envelope) next() (id byte, off int, payload []byte, err error) {
+	if e.pos >= e.end {
+		return 0, 0, nil, errorAt(e.pos, "input has no end marker")
+	}
+	id = e.data[e.pos]
+	e.pos++
+	if id == secEnd {
+		if e.pos != e.end {
+			return 0, 0, nil, errorAt(e.pos, "%d trailing bytes after end marker", e.end-e.pos)
+		}
+		return secEnd, e.pos, nil, nil
+	}
+	n, sz := binary.Uvarint(e.data[e.pos:e.end])
+	if sz <= 0 {
+		return 0, 0, nil, errorAt(e.pos, "bad section length")
+	}
+	e.pos += sz
+	if n > maxSectionLen || n > uint64(e.end-e.pos) {
+		return 0, 0, nil, errorAt(e.pos, "section %d length %d exceeds input", id, n)
+	}
+	off = e.pos
+	e.pos += int(n)
+	return id, off, e.data[off:e.pos], nil
+}
+
+// errorf reports a section-level error at the end of the section just
+// read.
+func (e *envelope) errorf(format string, args ...any) error {
+	return errorAt(e.pos, format, args...)
 }
 
 // Buffer append helpers.
@@ -207,132 +320,6 @@ func putBool(b []byte, v bool) []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
-}
-
-// --- decoder ---
-
-type decoder struct {
-	r       *bufio.Reader
-	crc     hash.Hash32
-	offset  int64
-	version byte   // envelope format version, set by header()
-	buf     []byte // section payload buffer, reused across sections
-}
-
-func newDecoder(r io.Reader) *decoder {
-	return &decoder{r: bufio.NewReader(r), crc: crc32.New(crcTable)}
-}
-
-func (d *decoder) errorf(format string, args ...interface{}) error {
-	return fmt.Errorf("wire: offset %d: %s", d.offset, fmt.Sprintf(format, args...))
-}
-
-// ReadByte implements io.ByteReader over the checksummed stream.
-func (d *decoder) ReadByte() (byte, error) {
-	b, err := d.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	d.crc.Write([]byte{b})
-	d.offset++
-	return b, nil
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d)
-	if err != nil {
-		return 0, d.eof(err, "varint")
-	}
-	return v, nil
-}
-
-// eof normalizes read errors: a clean EOF mid-structure is truncation.
-func (d *decoder) eof(err error, what string) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return d.errorf("truncated input reading %s", what)
-	}
-	return fmt.Errorf("wire: offset %d: reading %s: %w", d.offset, what, err)
-}
-
-// readFull reads exactly n bytes through the checksum into the decoder's
-// reusable payload buffer — section decoders copy everything they keep, so
-// one buffer serves every section of the envelope. Growth is chunked with
-// the bytes actually present, so a lying length field fails at the true
-// end of input instead of pre-allocating n bytes.
-func (d *decoder) readFull(n int) ([]byte, error) {
-	const chunk = 64 << 10
-	buf := d.buf[:0]
-	if cap(buf) < n && cap(buf) < chunk {
-		buf = make([]byte, 0, min(n, chunk))
-	}
-	for len(buf) < n {
-		c := min(n-len(buf), chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, c)...)
-		if _, err := io.ReadFull(d.r, buf[start:]); err != nil {
-			return nil, d.eof(err, "section payload")
-		}
-		d.crc.Write(buf[start:])
-		d.offset += int64(c)
-	}
-	d.buf = buf
-	return buf, nil
-}
-
-func (d *decoder) header() (Kind, error) {
-	var m [6]byte
-	if _, err := io.ReadFull(d.r, m[:]); err != nil {
-		return 0, d.eof(err, "envelope header")
-	}
-	d.crc.Write(m[:])
-	d.offset += 6
-	if [4]byte(m[:4]) != magic {
-		return 0, d.errorf("bad magic %q", m[:4])
-	}
-	if m[4] < minVersion || m[4] > Version {
-		return 0, d.errorf("unsupported version %d (accept %d..%d)", m[4], minVersion, Version)
-	}
-	d.version = m[4]
-	return Kind(m[5]), nil
-}
-
-// nextSection reads a section header and payload; it returns id secEnd
-// with a nil payload at the end marker.
-func (d *decoder) nextSection() (byte, []byte, error) {
-	id, err := d.ReadByte()
-	if err != nil {
-		return 0, nil, d.eof(err, "section id")
-	}
-	if id == secEnd {
-		return secEnd, nil, nil
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	if n > maxSectionLen {
-		return 0, nil, d.errorf("section %d length %d exceeds limit", id, n)
-	}
-	payload, err := d.readFull(int(n))
-	if err != nil {
-		return 0, nil, err
-	}
-	return id, payload, nil
-}
-
-// verifyTrailer reads the 4-byte checksum (outside the checksummed stream)
-// and compares it with the accumulated CRC.
-func (d *decoder) verifyTrailer() error {
-	want := d.crc.Sum32()
-	var tr [4]byte
-	if _, err := io.ReadFull(d.r, tr[:]); err != nil {
-		return d.eof(err, "checksum trailer")
-	}
-	got := binary.LittleEndian.Uint32(tr[:])
-	if got != want {
-		return d.errorf("checksum mismatch: trailer %08x, computed %08x", got, want)
-	}
-	return nil
 }
 
 // --- section payload cursor ---
